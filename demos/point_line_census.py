@@ -6,9 +6,9 @@ configurations.  Run directly; everything prints deterministically.
 """
 
 from nonlift import (
+    ProjPointFp,
     enumerate_lines,
     enumerate_points,
-    fp_point,
     incidence_config,
     line_dual,
     line_through,
@@ -37,12 +37,12 @@ def main():
     print("= canonical coordinates =")
     examples = [((2, 0, 3), 5), ((4, 6), 5), ((0, 2, 1), 3)]
     for coords, p in examples:
-        print(f"{coords} over F_{p} -> {fp_point(coords, p)}")
+        print(f"{coords} over F_{p} -> {ProjPointFp(coords, p)}")
 
     print()
     print("= joining two points =")
-    a = fp_point((1, 2, 0), 5)
-    b = fp_point((0, 1, 1), 5)
+    a = ProjPointFp((1, 2, 0), 5)
+    b = ProjPointFp((0, 1, 1), 5)
     ln = line_through(a, b)
     print(f"line through {a} and {b} has the {len(ln.points)} points:")
     print("  " + " ".join(str(pt) for pt in ln.points))

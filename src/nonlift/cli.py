@@ -20,12 +20,11 @@ from . import lift_checker, motive
 from .errors import NonliftError
 from .finite_geometry import (
     ProjPointFp,
-    enumerate_lines,
-    enumerate_points,
     incidence_config,
     mp_configuration,
+    point_line_counts,
 )
-from .local_ring import LocalRing, ProjPointA, ring_make
+from .local_ring import ProjPointA, ring_make
 
 TEXT, JSON = "text", "json"
 
@@ -83,13 +82,11 @@ def build_parser():
     parser = _Parser(prog="nonlift", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="group", required=True)
 
-    def common(sub, *, ring=False, fmt=True, out=True):
+    def common(sub, *, ring=False):
         if ring:
             sub.add_argument("--ring", default="zpk:2", help="zpk:<k> or fpt:<k>")
-        if fmt:
-            sub.add_argument("--format", choices=(TEXT, JSON), default=TEXT)
-        if out:
-            sub.add_argument("--out", help="also write the output bytes to this file")
+        sub.add_argument("--format", choices=(TEXT, JSON), default=TEXT)
+        sub.add_argument("--out", help="also write the output bytes to this file")
 
     geom = top.add_parser("geom", help="configurations over a prime field").add_subparsers(
         dest="command", required=True
@@ -115,7 +112,6 @@ def build_parser():
     l_brute = lift.add_parser("brute", help="exhaustive lift search")
     l_brute.add_argument("--p", type=int, required=True)
     l_brute.add_argument("--budget", type=int, default=lift_checker.DEFAULT_BUDGET)
-    l_brute.add_argument("--jobs", type=int, default=1)
     common(l_brute, ring=True)
     l_check = lift.add_parser("check", help="check a point map for collinearity")
     l_check.add_argument("--p", type=int, required=True)
@@ -171,14 +167,9 @@ def _dump(doc):
     return json.dumps(doc, indent=2)
 
 
-def _fmt_point(coords):
-    return "(" + ":".join(str(c) for c in coords) + ")"
-
-
 def _run_geom(args):
     if args.command == "count":
-        points = len(enumerate_points(args.dim, args.p))
-        lines = len(enumerate_lines(args.dim, args.p))
+        points, lines = point_line_counts(args.dim, args.p)
         doc = {"dim": args.dim, "p": args.p, "points": points, "lines": lines}
         text = f"points: {points}, lines: {lines}"
         if args.dim == 3:
@@ -221,6 +212,7 @@ def _parse_map_file(path, p, ring):
 
 
 def _run_lift(args):
+    fmt = lift_checker._fmt_point
     ring = parse_ring_spec(args.ring, args.p)
     if args.command == "propagate":
         trace, obstruction = lift_checker.propagate_forced_lift(args.p, ring)
@@ -228,9 +220,7 @@ def _run_lift(args):
         code = 2 if obstruction.verdict == lift_checker.VERDICT_BLOCKED else 0
         return text, code
     if args.command == "brute":
-        result = lift_checker.brute_force_lift_search(
-            args.p, ring, budget=args.budget, jobs=args.jobs
-        )
+        result = lift_checker.brute_force_lift_search(args.p, ring, budget=args.budget)
         if args.format == JSON:
             doc = {
                 "p": args.p,
@@ -257,7 +247,7 @@ def _run_lift(args):
         for i, m in enumerate(result.maps, start=1):
             lines.append(f"map {i}:")
             for pt, img in sorted(m.items()):
-                lines.append(f"  {_fmt_point(pt.coords)} -> {_fmt_point(img.coords)}")
+                lines.append(f"  {fmt(pt)} -> {fmt(img)}")
         return "\n".join(lines), 0
     # check
     if args.map_file:
@@ -277,7 +267,7 @@ def _run_lift(args):
         return _dump(doc), 0
     lines = [f"violations: {len(violations)}"]
     for x, y, z in violations:
-        lines.append(f"  {_fmt_point(x.coords)}, {_fmt_point(y.coords)}, {_fmt_point(z.coords)}")
+        lines.append(f"  {fmt(x)}, {fmt(y)}, {fmt(z)}")
     return "\n".join(lines), 0
 
 
@@ -330,10 +320,7 @@ def main(argv=None):
             text, code = _run_lift(args)
         else:
             text, code = _run_motive(args)
-    except _UsageError as exc:
-        print(f"nonlift: error: {exc}", file=sys.stderr)
-        return 1
-    except NonliftError as exc:
+    except (_UsageError, NonliftError) as exc:
         print(f"nonlift: error: {exc}", file=sys.stderr)
         return 1
     print(text)

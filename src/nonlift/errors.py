@@ -33,10 +33,6 @@ class UndecidableCollinearityError(NonliftError):
     """All three residues coincide, so the determinant test decides nothing."""
 
 
-class DegeneratePlaneError(NonliftError):
-    """The three points have collinear residues and span no unique plane."""
-
-
 class MissingAssignmentError(NonliftError):
     """The point map is not total."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DegenerateSpanError,
@@ -92,11 +92,6 @@ class ProjPointFp:
 
     def __repr__(self):
         return f"({':'.join(str(c) for c in self.coords)})/F{self.p}"
-
-
-def fp_point(coords, p):
-    """Shorthand constructor for ProjPointFp."""
-    return ProjPointFp(coords, p)
 
 
 def _dot(u, v, p):
@@ -290,6 +285,17 @@ def enumerate_lines(n, p):
     return lines
 
 
+def point_line_counts(n, p):
+    """(points, lines) of P^n(F_p), n in {2, 3}, by the closed formulas."""
+    check_prime(p)
+    _check_dim(n)
+    if n < 2:
+        raise InvalidParameterError(f"lines need ambient dimension 2 or 3, got {n}")
+    points = sum(p**i for i in range(n + 1))
+    lines = points if n == 2 else 1 + p + 2 * p**2 + p**3 + p**4
+    return points, lines
+
+
 def line_dual(line):
     """Dual point of a line in P^2 (coefficients of its linear equation)."""
     if line.dim != 2:
@@ -392,6 +398,39 @@ class IncidenceConfig:
             inclusions=tuple(tuple(pair) for pair in doc["inclusions"]),
         )
 
+    @classmethod
+    def from_members(cls, points, lines, planes=()):
+        """Configuration of the given points, lines and planes.
+
+        Lists every point of `points` on each line and plane, then every
+        line lying in each plane; line members outside `points` are left out.
+        """
+        idx = {pt: i for i, pt in enumerate(points)}
+        line_off = len(points)
+        plane_off = line_off + len(lines)
+        inclusions = [
+            (idx[pt], line_off + li)
+            for li, line in enumerate(lines)
+            for pt in line.points
+            if pt in idx
+        ]
+        for pi, plane in enumerate(planes):
+            inclusions.extend((i, plane_off + pi) for i in plane.point_indices)
+        for pi, plane in enumerate(planes):
+            member_set = set(plane.point_indices)
+            for li, line in enumerate(lines):
+                a, b = line.points[0], line.points[1]
+                if idx[a] in member_set and idx[b] in member_set:
+                    inclusions.append((line_off + li, plane_off + pi))
+        return cls(
+            dim=points[0].dim,
+            p=points[0].p,
+            points=tuple(points),
+            lines=tuple(lines),
+            planes=tuple(planes),
+            inclusions=tuple(inclusions),
+        )
+
 
 def _plane_dual_from_members(members, p):
     for trio in itertools.combinations(members, 3):
@@ -413,41 +452,13 @@ def incidence_config(n, p):
     if n not in (2, 3):
         _check_dim(n)
         raise InvalidParameterError(f"incidence_config needs ambient dimension 2 or 3, got {n}")
-    points = tuple(enumerate_points(n, p))
-    lines = tuple(enumerate_lines(n, p))
-    idx = {pt: i for i, pt in enumerate(points)}
-    line_off = len(points)
-    inclusions = []
-    for li, line in enumerate(lines):
-        for pt in line.points:
-            inclusions.append((idx[pt], line_off + li))
-    planes = ()
+    points = enumerate_points(n, p)
+    planes = []
     if n == 3:
-        plane_off = line_off + len(lines)
-        built = []
         for d in points:
-            member_idx = tuple(
-                i for i, pt in enumerate(points) if _dot(d.coords, pt.coords, p) == 0
-            )
-            built.append(PlaneFp(d, member_idx))
-        planes = tuple(built)
-        for pi, plane in enumerate(planes):
-            for i in plane.point_indices:
-                inclusions.append((i, plane_off + pi))
-        for pi, plane in enumerate(planes):
-            member_set = set(plane.point_indices)
-            for li, line in enumerate(lines):
-                a, b = line.points[0], line.points[1]
-                if idx[a] in member_set and idx[b] in member_set:
-                    inclusions.append((line_off + li, plane_off + pi))
-    return IncidenceConfig(
-        dim=n,
-        p=p,
-        points=points,
-        lines=lines,
-        planes=planes,
-        inclusions=tuple(inclusions),
-    )
+            members = tuple(i for i, pt in enumerate(points) if _dot(d.coords, pt.coords, p) == 0)
+            planes.append(PlaneFp(d, members))
+    return IncidenceConfig.from_members(points, enumerate_lines(n, p), planes)
 
 
 def mp_configuration(p):
@@ -466,23 +477,8 @@ def mp_configuration(p):
         chosen.add(ProjPointFp(((n + 1) % p, 1, 1), p))
     for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0)):
         chosen.add(ProjPointFp(c, p))
-    points = tuple(sorted(chosen))
-    idx = {pt: i for i, pt in enumerate(points)}
-    lines = tuple(
+    lines = [
         line for line in enumerate_lines(2, p)
         if sum(1 for pt in line.points if pt in chosen) >= 2
-    )
-    line_off = len(points)
-    inclusions = []
-    for li, line in enumerate(lines):
-        for pt in line.points:
-            if pt in idx:
-                inclusions.append((idx[pt], line_off + li))
-    return IncidenceConfig(
-        dim=2,
-        p=p,
-        points=points,
-        lines=lines,
-        planes=(),
-        inclusions=tuple(inclusions),
-    )
+    ]
+    return IncidenceConfig.from_members(sorted(chosen), lines)

@@ -91,10 +91,6 @@ class Frame:
         )
         return cls(ring=ring, images=imgs)
 
-    @property
-    def is_standard(self):
-        return self == Frame.standard(self.ring)
-
     def assignment(self):
         """Anchor point -> image, as a dict."""
         return dict(zip(frame_anchors(self.ring.p), self.images))
@@ -118,7 +114,6 @@ class PropagationTrace:
     ring: LocalRing
     frame: Frame
     steps: tuple
-    status: str = "complete"
 
     def pinned_points(self):
         """Every residue point whose image the trace pinned, sorted."""
@@ -305,18 +300,14 @@ class SearchResult:
 DEFAULT_BUDGET = 10**7
 
 
-def brute_force_lift_search(p, ring, frame=None, budget=DEFAULT_BUDGET, jobs=1):
+def brute_force_lift_search(p, ring, frame=None, budget=DEFAULT_BUDGET):
     """Exhaustive search over all frame-fixing lift assignments.
 
-    Walks the non-frame points in lexicographic order;candidates for each
+    Walks the non-frame points in lexicographic order; candidates for each
     point are its lifts in ascending order.  After every assignment all
     newly-completed collinear triples are checked, so dead branches die at
     the first violated triple.  Every explored candidate counts one node
     against the budget.
-
-    `jobs` shards the top-level candidate list into contiguous chunks,
-    searched in order; results and node counts are identical for every
-    value of jobs.
     """
     check_prime(p)
     if ring.p != p:
@@ -325,13 +316,13 @@ def brute_force_lift_search(p, ring, frame=None, budget=DEFAULT_BUDGET, jobs=1):
         )
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise InvalidParameterError(f"budget must be a positive integer, got {budget!r}")
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise InvalidParameterError(f"jobs must be a positive integer, got {jobs!r}")
     if frame is None:
         frame = Frame.standard(ring)
     elif frame.ring != ring:
         raise InvalidParameterError("frame ring differs from search ring")
 
+    # the plane has p^2+p+1 >= 7 points and the frame fixes 4, so `free`
+    # is never empty
     points = enumerate_points(2, p)
     assignment = frame.assignment()
     free = [pt for pt in points if pt not in assignment]
@@ -367,28 +358,7 @@ def brute_force_lift_search(p, ring, frame=None, budget=DEFAULT_BUDGET, jobs=1):
                 extend(m + 1)
         assignment.pop(pt, None)
 
-    if not free:
-        final = dict(assignment)
-        if not check_collinearity_preserving(final, p, ring):
-            found.append(final)
-        return SearchResult(maps=tuple(found), nodes_explored=0, budget=budget)
-
-    top = lifts[0]
-    chunk = max(1, -(-len(top) // jobs))
-    shards = [top[i : i + chunk] for i in range(0, len(top), chunk)]
-    first = free[0]
-    for shard in shards:
-        for cand in shard:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(nodes, budget)
-            assignment[first] = cand
-            if all(
-                _images_collinear(assignment[x], assignment[y], assignment[z])
-                for x, y, z in completed[0]
-            ):
-                extend(1)
-        assignment.pop(first, None)
+    extend(0)
     return SearchResult(maps=tuple(found), nodes_explored=nodes, budget=budget)
 
 
@@ -425,8 +395,6 @@ def extract_used_configuration(trace):
     """
     if not isinstance(trace, PropagationTrace):
         raise InvalidParameterError("extract_used_configuration expects a PropagationTrace")
-    if trace.status != "complete":
-        raise InvalidParameterError(f"trace is not complete: status {trace.status!r}")
     points = trace.pinned_points()
     duals = []
     for step in trace.steps:
@@ -434,23 +402,8 @@ def extract_used_configuration(trace):
             d = line.reduce_dual()
             if d not in duals:
                 duals.append(d)
-    lines = tuple(sorted(line_from_dual(d) for d in duals))
-    chosen = set(points)
-    idx = {pt: i for i, pt in enumerate(points)}
-    line_off = len(points)
-    inclusions = []
-    for li, line in enumerate(lines):
-        for pt in line.points:
-            if pt in chosen:
-                inclusions.append((idx[pt], line_off + li))
-    return IncidenceConfig(
-        dim=2,
-        p=trace.p,
-        points=points,
-        lines=lines,
-        planes=(),
-        inclusions=tuple(inclusions),
-    )
+    lines = sorted(line_from_dual(d) for d in duals)
+    return IncidenceConfig.from_members(points, lines)
 
 
 # -- certificates -----------------------------------------------------------
@@ -523,11 +476,8 @@ def certificate_parse(doc):
     return trace, obstruction
 
 
-def _fmt_fp(pt):
-    return "(" + ":".join(str(c) for c in pt.coords) + ")"
-
-
-def _fmt_a(pt):
+def _fmt_point(pt):
+    """`(a:b:c)` for a point over F_p or over a ring."""
     return "(" + ":".join(str(c) for c in pt.coords) + ")"
 
 
@@ -547,13 +497,13 @@ def certificate_render(trace, obstruction, format="text"):
     ]
     for i, step in enumerate(trace.steps, start=1):
         lines.append(
-            f"step {i}: target {_fmt_fp(step.target)}"
-            f" = meet of duals {_fmt_a(step.line1.dual)} and {_fmt_a(step.line2.dual)}"
-            f" -> {_fmt_a(step.derived)}"
+            f"step {i}: target {_fmt_point(step.target)}"
+            f" = meet of duals {_fmt_point(step.line1.dual)} and {_fmt_point(step.line2.dual)}"
+            f" -> {_fmt_point(step.derived)}"
         )
     lines.append(
-        f"closing comparison: derived {_fmt_a(obstruction.derived)}"
-        f" against pinned {_fmt_a(obstruction.required)}"
+        f"closing comparison: derived {_fmt_point(obstruction.derived)}"
+        f" against pinned {_fmt_point(obstruction.required)}"
     )
     if obstruction.is_zero:
         lines.append("no obstruction")

@@ -11,8 +11,8 @@ for F_p[t]/(t^k).  Projective points over a ring A carry at least one unit
 coordinate and are normalized by scaling the first unit coordinate to 1.
 
 Lines in the projective plane over A are represented by their dual
-coordinate vectors; joins, meets, collinearity and coplanarity are all
-computed through exact cross products, cofactor vectors and determinants.
+coordinate vectors; joins, meets and collinearity are all computed through
+exact cross products and determinants.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 
 from .errors import (
-    DegeneratePlaneError,
     IndeterminateIntersectionError,
     IndeterminateSpanError,
     InvalidParameterError,
@@ -29,7 +28,6 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .finite_geometry import MAX_DIM, ProjPointFp, check_prime
-from .finite_geometry import collinear as fp_collinear
 
 KINDS = ("zpk", "fpt")
 
@@ -362,31 +360,6 @@ class ProjPointA:
         return cls(ring, [ring.elem(c if isinstance(c, int) else tuple(c)) for c in doc["coords"]])
 
 
-def point_normalize(coords, ring=None):
-    """Canonical projective point from a coordinate vector.
-
-    Accepts RingElem coordinates (ring optional) or raw values with an
-    explicit ring.  Raises NotAProjectivePointError when no coordinate is
-    a unit.
-    """
-    coords = list(coords)
-    if ring is None:
-        for c in coords:
-            if isinstance(c, RingElem):
-                ring = c.ring
-                break
-        if ring is None:
-            raise InvalidParameterError("point_normalize needs a ring")
-    return ProjPointA(ring, coords)
-
-
-def point_reduce(x):
-    """Residue image of a projective point over A in P^n(F_p)."""
-    if not isinstance(x, ProjPointA):
-        raise InvalidParameterError("point_reduce expects a ProjPointA")
-    return x.reduce()
-
-
 def enumerate_lifts(x, ring):
     """All points of P^2(A) reducing to the plane point x, ascending.
 
@@ -417,14 +390,14 @@ def enumerate_lifts(x, ring):
     return out
 
 
-def _same_plane_points(points, dim):
+def _same_plane_points(points):
     ring = points[0].ring
     for x in points:
         if not isinstance(x, ProjPointA) or x.ring != ring:
             raise InvalidParameterError("points must share one coefficient ring")
-        if x.dim != dim:
+        if x.dim != 2:
             raise UnsupportedDimensionError(
-                f"operation defined in ambient dimension {dim}, got {x.dim}"
+                f"operation defined in ambient dimension 2, got {x.dim}"
             )
     return ring
 
@@ -453,31 +426,15 @@ def _det3(rows):
     )
 
 
-def _det4(rows):
-    total = None
-    for j in range(4):
-        minor = [[row[c] for c in range(4) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _det3(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 class LineA:
-    """A line of P^2(A), represented by its dual coordinate vector.
+    """A line of P^2(A), represented by its dual coordinate vector."""
 
-    The optional `through` pair records the two points that produced the
-    line; it is provenance only and takes no part in equality.
-    """
+    __slots__ = ("dual",)
 
-    __slots__ = ("dual", "through")
-
-    def __init__(self, dual, through=None):
+    def __init__(self, dual):
         if not isinstance(dual, ProjPointA) or dual.dim != 2:
             raise InvalidParameterError("a plane-line dual is a 3-coordinate point")
         object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "through", through)
 
     def __setattr__(self, name, value):
         raise AttributeError("LineA is immutable")
@@ -509,13 +466,13 @@ class LineA:
 
 def line_through_A(x, y):
     """The unique line of P^2(A) joining two points with distinct residues."""
-    ring = _same_plane_points((x, y), 2)
+    ring = _same_plane_points((x, y))
     if x.reduce() == y.reduce():
         raise IndeterminateSpanError(
             f"points reduce to the same residue point {x.reduce()!r}; join not unique"
         )
     dual = ProjPointA(ring, _cross(x.coords, y.coords))
-    line = LineA(dual, through=(x, y))
+    line = LineA(dual)
     assert line.contains(x) and line.contains(y)
     return line
 
@@ -542,66 +499,9 @@ def collinear_A(x, y, z):
     three residues coincide the determinant always vanishes and the test
     says nothing, so that case raises UndecidableCollinearityError.
     """
-    _same_plane_points((x, y, z), 2)
+    _same_plane_points((x, y, z))
     if x.reduce() == y.reduce() == z.reduce():
         raise UndecidableCollinearityError(
             "all three points share one residue; determinant test undecidable"
         )
     return _det3([x.coords, y.coords, z.coords]).is_zero
-
-
-class PlaneA:
-    """A plane of P^3(A), represented by its dual coordinate vector."""
-
-    __slots__ = ("dual", "through")
-
-    def __init__(self, dual, through=None):
-        if not isinstance(dual, ProjPointA) or dual.dim != 3:
-            raise InvalidParameterError("a plane dual is a 4-coordinate point")
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "through", through)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneA is immutable")
-
-    @property
-    def ring(self):
-        return self.dual.ring
-
-    def contains(self, x):
-        return _dot_elems(self.dual.coords, x.coords).is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, PlaneA):
-            return NotImplemented
-        return self.dual == other.dual
-
-    def __hash__(self):
-        return hash(("PlaneA", self.dual))
-
-    def __repr__(self):
-        return f"PlaneA(dual={self.dual!r})"
-
-
-def plane_through_A(x1, x2, x3):
-    """The unique plane of P^3(A) through three points with non-collinear residues."""
-    ring = _same_plane_points((x1, x2, x3), 3)
-    if fp_collinear(x1.reduce(), x2.reduce(), x3.reduce()):
-        raise DegeneratePlaneError("residues are collinear; plane not unique")
-    rows = [x1.coords, x2.coords, x3.coords]
-    cof = []
-    for j in range(4):
-        minor = [[row[c] for c in range(4) if c != j] for row in rows]
-        term = _det3(minor)
-        if j % 2:
-            term = -term
-        cof.append(term)
-    plane = PlaneA(ProjPointA(ring, cof), through=(x1, x2, x3))
-    assert plane.contains(x1) and plane.contains(x2) and plane.contains(x3)
-    return plane
-
-
-def coplanar_A(x1, x2, x3, x4):
-    """Determinant coplanarity test for four points of P^3(A)."""
-    _same_plane_points((x1, x2, x3, x4), 3)
-    return _det4([x1.coords, x2.coords, x3.coords, x4.coords]).is_zero

@@ -38,6 +38,7 @@ from nonlift import (
     ring_make,
     trivial_lift_map,
 )
+from nonlift.finite_geometry import point_line_counts
 
 PRIMES_SMALL = (2, 3, 5, 7)
 PRIMES_PROP = (2, 3, 5, 7, 11, 13)
@@ -64,10 +65,11 @@ def _run(capfd, number, label, cap_seconds, body):
 def test_criterion_1_counts(capfd):
     def body():
         for p in PRIMES_SMALL:
-            assert len(enumerate_points(2, p)) == 1 + p + p**2
-            assert len(enumerate_lines(2, p)) == 1 + p + p**2
-            assert len(enumerate_points(3, p)) == 1 + p + p**2 + p**3
-            assert len(enumerate_lines(3, p)) == 1 + p + 2 * p**2 + p**3 + p**4
+            counts = {n: (len(enumerate_points(n, p)), len(enumerate_lines(n, p))) for n in (2, 3)}
+            assert counts[2] == (1 + p + p**2, 1 + p + p**2)
+            assert counts[3] == (1 + p + p**2 + p**3, 1 + p + 2 * p**2 + p**3 + p**4)
+            for n in (2, 3):
+                assert point_line_counts(n, p) == counts[n]
 
     _run(capfd, 1, "point and line counts match the closed formulas", 5, body)
 

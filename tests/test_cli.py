@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -29,6 +30,17 @@ def test_geom_count_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"dim": 3, "p": 3, "points": 40, "lines": 130, "planes": 40}
+
+
+def test_geom_count_is_closed_form(capsys):
+    p = 1009
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "geom", "count", "--dim", "3", "--p", str(p), "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    points = 1 + p + p**2 + p**3
+    lines = 1 + p + 2 * p**2 + p**3 + p**4
+    assert json.loads(out) == {"dim": 3, "p": p, "points": points, "lines": lines, "planes": points}
 
 
 def test_geom_config_text(capsys):
@@ -94,12 +106,6 @@ def test_lift_brute_json(capsys):
     assignments = doc["maps"][0]["assignments"]
     assert len(assignments) == 7
     assert assignments[0] == {"point": [0, 0, 1], "image": [[0, 0], [0, 0], [1, 0]]}
-
-
-def test_lift_brute_jobs_deterministic(capsys):
-    _, first, _ = run(capsys, "lift", "brute", "--p", "3", "--ring", "fpt:2")
-    _, second, _ = run(capsys, "lift", "brute", "--p", "3", "--ring", "fpt:2", "--jobs", "4")
-    assert first == second
 
 
 def test_lift_check_default_map(capsys):
@@ -227,6 +233,7 @@ def test_usage_errors_exit_1(capsys):
         ("motive", "invariants", "--space", "mystery:3"),
         ("motive", "invariants", "--space", "flag"),
         ("motive", "flag", "--m", "9"),
+        ("motive", "grass", "--r", "600", "--m", "1200"),
         ("motive", "quadric", "--dim", "0"),
     ]
     for args in cases:

@@ -21,7 +21,6 @@ from nonlift import (
     coplanar,
     enumerate_lines,
     enumerate_points,
-    fp_point,
     incidence_config,
     line_dual,
     line_from_dual,
@@ -90,28 +89,28 @@ def all_canonical_reps(dim, p):
 
 
 def test_point_canonical_form():
-    assert fp_point((2, 0, 3), 5).coords == (1, 0, 4)
-    assert fp_point((0, 2, 1), 3).coords == (0, 1, 2)
-    assert fp_point((4, 6), 5).coords == (1, 4)
-    assert fp_point((0, 0, 6), 7).coords == (0, 0, 1)
+    assert ProjPointFp((2, 0, 3), 5).coords == (1, 0, 4)
+    assert ProjPointFp((0, 2, 1), 3).coords == (0, 1, 2)
+    assert ProjPointFp((4, 6), 5).coords == (1, 4)
+    assert ProjPointFp((0, 0, 6), 7).coords == (0, 0, 1)
 
 
 def test_point_equality_and_hash():
-    a = fp_point((2, 4, 1), 5)
-    b = fp_point((4, 8, 2), 5)
+    a = ProjPointFp((2, 4, 1), 5)
+    b = ProjPointFp((4, 8, 2), 5)
     assert a == b
     assert hash(a) == hash(b)
-    assert a != fp_point((2, 4, 2), 5)
+    assert a != ProjPointFp((2, 4, 2), 5)
 
 
 def test_point_rejects_zero_vector():
     with pytest.raises(InvalidParameterError):
-        fp_point((0, 0, 0), 3)
+        ProjPointFp((0, 0, 0), 3)
 
 
 def test_point_rejects_composite_modulus():
     with pytest.raises(InvalidParameterError):
-        fp_point((1, 0, 0), 6)
+        ProjPointFp((1, 0, 0), 6)
 
 
 def test_check_prime():
@@ -205,8 +204,8 @@ def test_line_through_is_symmetric_and_contains_both():
 
 
 def test_line_through_rejects_equal_points():
-    a = fp_point((1, 2, 1), 3)
-    b = fp_point((2, 4, 2), 3)
+    a = ProjPointFp((1, 2, 1), 3)
+    b = ProjPointFp((2, 4, 2), 3)
     with pytest.raises(DegenerateSpanError):
         line_through(a, b)
 
@@ -244,10 +243,10 @@ def test_collinear_agrees_with_line_membership():
 
 def test_coplanar_dim3():
     pts = enumerate_points(3, 2)
-    e0, e1, e2, e3 = (fp_point(v, 2) for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    e0, e1, e2, e3 = (ProjPointFp(v, 2) for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     assert not coplanar(e0, e1, e2, e3)
     # x3 = 0 plane
-    assert coplanar(e0, e1, e2, fp_point((1, 1, 0, 0), 2))
+    assert coplanar(e0, e1, e2, ProjPointFp((1, 1, 0, 0), 2))
     inside = [pt for pt in pts if pt.coords[3] == 0]
     assert len(inside) == 7
     for quad in itertools.combinations(inside, 4):
@@ -314,7 +313,7 @@ def test_mp_configuration_points_explicit():
         (1, 1, 1), (2, 1, 1), (0, 1, 1),
         (1, 0, 0), (0, 1, 0), (1, 1, 0),
     }
-    assert {pt.coords for pt in cfg.points} == {fp_point(v, 3).coords for v in expected}
+    assert {pt.coords for pt in cfg.points} == {ProjPointFp(v, 3).coords for v in expected}
 
 
 def test_mp_configuration_lines_are_restrictions():
@@ -382,7 +381,7 @@ def test_lines_sortable_and_hashable():
 
 
 def test_line_cross_field_mismatch():
-    a = fp_point((1, 0, 0), 2)
-    b = fp_point((0, 1, 0), 3)
+    a = ProjPointFp((1, 0, 0), 2)
+    b = ProjPointFp((0, 1, 0), 3)
     with pytest.raises(InvalidParameterError):
         line_through(a, b)

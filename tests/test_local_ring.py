@@ -13,21 +13,16 @@ from nonlift import (
     LocalRing,
     NotAProjectivePointError,
     ProjPointA,
+    ProjPointFp,
     UndecidableCollinearityError,
     UnsupportedDimensionError,
     collinear_A,
-    coplanar_A,
     enumerate_lifts,
     enumerate_points,
-    fp_point,
     line_intersect_A,
     line_through_A,
-    plane_through_A,
-    point_normalize,
-    point_reduce,
     ring_make,
 )
-from nonlift.errors import DegeneratePlaneError
 
 Z4 = ring_make("zpk", 2, 2)
 Z9 = ring_make("zpk", 3, 2)
@@ -190,8 +185,7 @@ def test_point_dimension_limits():
 def test_point_equality_reduce_and_json():
     x = ProjPointA(Z4, (3, 0, 3))
     assert x == ProjPointA(Z4, (1, 0, 1))
-    assert x.reduce() == fp_point((1, 0, 1), 2)
-    assert point_reduce(x) == fp_point((1, 0, 1), 2)
+    assert x.reduce() == ProjPointFp((1, 0, 1), 2)
     for pt in (x, ProjPointA(F3T, ((2, 1), (0, 2), (1, 1)))):
         doc = pt.to_json()
         assert set(doc) == {"ring", "coords"}
@@ -203,21 +197,18 @@ def test_point_mixed_ring_rejected():
         ProjPointA(Z4, (Z9.elem(1), Z4.elem(0), Z4.elem(0)))
 
 
-def test_point_normalize_variants():
-    a = point_normalize([Z4.elem(2), Z4.elem(0), Z4.elem(3)])
+def test_point_coordinate_variants():
+    a = ProjPointA(Z4, [Z4.elem(2), Z4.elem(0), Z4.elem(3)])
     assert tuple(c.rep for c in a.coords) == (2, 0, 1)
-    b = point_normalize((2, 0, 3), Z4)
-    assert a == b
-    with pytest.raises(InvalidParameterError):
-        point_normalize((1, 0, 1))
+    assert a == ProjPointA(Z4, (2, 0, 3))
 
 
 def test_enumerate_lifts_frozen():
-    lifts = enumerate_lifts(fp_point((0, 0, 1), 2), Z4)
+    lifts = enumerate_lifts(ProjPointFp((0, 0, 1), 2), Z4)
     assert [tuple(c.rep for c in q.coords) for q in lifts] == [
         (0, 0, 1), (0, 2, 1), (2, 0, 1), (2, 2, 1),
     ]
-    lifts = enumerate_lifts(fp_point((1, 0, 1), 2), Z4)
+    lifts = enumerate_lifts(ProjPointFp((1, 0, 1), 2), Z4)
     assert [tuple(c.rep for c in q.coords) for q in lifts] == [
         (1, 0, 1), (1, 0, 3), (1, 2, 1), (1, 2, 3),
     ]
@@ -234,7 +225,7 @@ def test_enumerate_lifts_counts_and_order():
             for q in lifts:
                 assert q.reduce() == x
                 # already canonical: renormalizing changes nothing
-                assert point_normalize(q.coords) == q
+                assert ProjPointA(q.ring, q.coords) == q
 
 
 def test_enumerate_lifts_partition_oracle():
@@ -254,9 +245,9 @@ def test_enumerate_lifts_partition_oracle():
 
 def test_enumerate_lifts_validation():
     with pytest.raises(InvalidParameterError):
-        enumerate_lifts(fp_point((1, 0, 1), 3), Z4)
+        enumerate_lifts(ProjPointFp((1, 0, 1), 3), Z4)
     with pytest.raises(UnsupportedDimensionError):
-        enumerate_lifts(fp_point((1, 0), 2), Z4)
+        enumerate_lifts(ProjPointFp((1, 0), 2), Z4)
 
 
 def test_line_through_worked_chain():
@@ -329,18 +320,3 @@ def test_collinear_A_cases():
             ProjPointA(Z4, (1, 2, 1)),
             ProjPointA(Z4, (1, 0, 3)),
         )
-
-
-def test_plane_through_and_coplanar():
-    e0 = ProjPointA(Z4, (1, 0, 0, 0))
-    e1 = ProjPointA(Z4, (0, 1, 0, 0))
-    e2 = ProjPointA(Z4, (0, 0, 1, 0))
-    pl = plane_through_A(e0, e1, e2)
-    assert tuple(c.rep for c in pl.dual.coords) == (0, 0, 0, 1)
-    for x in (e0, e1, e2, ProjPointA(Z4, (1, 1, 2, 0))):
-        assert pl.contains(x)
-    assert not pl.contains(ProjPointA(Z4, (0, 0, 0, 1)))
-    assert coplanar_A(e0, e1, e2, ProjPointA(Z4, (1, 3, 2, 0)))
-    assert not coplanar_A(e0, e1, e2, ProjPointA(Z4, (1, 1, 1, 1)))
-    with pytest.raises(DegeneratePlaneError):
-        plane_through_A(e0, e1, ProjPointA(Z4, (1, 1, 0, 0)))

@@ -10,6 +10,7 @@ import pytest
 
 from nonlift import (
     BudgetExceededError,
+    GRASS_DIM_MAX,
     InvalidBlowupError,
     InvalidParameterError,
     InvariantsTable,
@@ -135,6 +136,28 @@ def test_grassmannian_classes():
     assert grassmannian_class(1, 4).cls == projective_space_class(3).cls
     with pytest.raises(InvalidParameterError):
         grassmannian_class(3, 2)
+
+
+def _pascal_gauss(m, r):
+    """[m, r] by the recurrence [m, r] = [m-1, r-1] + L^r [m-1, r]."""
+    if r in (0, m):
+        return LPolynomial.one()
+    return _pascal_gauss(m - 1, r - 1) + LPolynomial.lefschetz(r) * _pascal_gauss(m - 1, r)
+
+
+def test_grassmannian_matches_pascal_recurrence():
+    for m in range(13):
+        for r in range(m + 1):
+            assert grassmannian_class(r, m).cls == _pascal_gauss(m, r)
+
+
+def test_grassmannian_size_cap():
+    assert grassmannian_class(40, 80).dim == 1600
+    assert grassmannian_class(50, 100).dim == GRASS_DIM_MAX
+    with pytest.raises(BudgetExceededError):
+        grassmannian_class(50, 101)
+    with pytest.raises(BudgetExceededError):
+        grassmannian_class(600, 1200)
 
 
 def test_grassmannian_symmetry_and_counts():
