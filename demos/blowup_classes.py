@@ -14,8 +14,8 @@ from nonlift import (
     incidence_variety_point_count,
     invariants_table,
     point_count_oracle_construction_two,
+    point_line_counts,
     quadric_class,
-    rational_point_line_counts,
 )
 
 
@@ -46,7 +46,7 @@ def main():
 
     print("= second construction: blow up the rational strata of 3-space =")
     for p in (2, 3):
-        n_pts, n_lines = rational_point_line_counts(p)
+        n_pts, n_lines = point_line_counts(3, p)
         v = construction_two_class(p)
         show(v)
         print(f"  built from {n_pts} rational points and {n_lines} rational lines")

@@ -200,9 +200,7 @@ def _parse_map_file(path, p, ring):
     mapping = {}
     try:
         for entry in doc["assignments"]:
-            pt = ProjPointFp(entry["point"], p)
-            coords = [c if isinstance(c, int) else tuple(c) for c in entry["image"]]
-            mapping[pt] = ProjPointA(ring, [ring.elem(c) for c in coords])
+            mapping[ProjPointFp(entry["point"], p)] = ProjPointA(ring, entry["image"])
     except (KeyError, TypeError) as exc:
         raise _UsageError(
             "map file must be a JSON object with an 'assignments' list "

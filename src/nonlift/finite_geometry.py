@@ -150,11 +150,18 @@ class LineFp:
         return f"LineFp[{', '.join(repr(pt) for pt in self.points)}]"
 
 
+def _span(u, v, p):
+    """The line spanned by coordinate vectors u and v: v, then u + t*v for t in F_p."""
+    members = [ProjPointFp(v, p)]
+    for t in range(p):
+        members.append(ProjPointFp(tuple(a + t * b for a, b in zip(u, v)), p))
+    return LineFp(members)
+
+
 def line_through(x, y):
     """The unique line joining two distinct points.
 
-    Members are x + t*y for t in F_p together with y, each put in canonical
-    form.  Raises DegenerateSpanError when x == y.
+    Raises DegenerateSpanError when x == y.
     """
     if not isinstance(x, ProjPointFp) or not isinstance(y, ProjPointFp):
         raise InvalidParameterError("line_through expects ProjPointFp arguments")
@@ -162,13 +169,16 @@ def line_through(x, y):
         raise InvalidParameterError("points live in different ambient spaces")
     if x == y:
         raise DegenerateSpanError(f"coincident points {x!r} span no line")
-    p = x.p
-    members = [y]
-    for t in range(p):
-        members.append(
-            ProjPointFp(tuple((a + t * b) % p for a, b in zip(x.coords, y.coords)), p)
-        )
-    return LineFp(members)
+    return _span(x.coords, y.coords, x.p)
+
+
+def _rank(pts, kind):
+    p = pts[0].p
+    dim = pts[0].dim
+    for pt in pts:
+        if not isinstance(pt, ProjPointFp) or pt.p != p or pt.dim != dim:
+            raise InvalidParameterError(f"{kind} expects points of one ambient space")
+    return len(_row_reduce([pt.coords for pt in pts], p)[1])
 
 
 def collinear(x, y, z):
@@ -177,63 +187,53 @@ def collinear(x, y, z):
     Decided exactly as rank of the 3 x (n+1) coordinate matrix being at
     most 2; symmetric in the arguments.
     """
-    pts = (x, y, z)
-    p = pts[0].p
-    dim = pts[0].dim
-    for pt in pts:
-        if not isinstance(pt, ProjPointFp) or pt.p != p or pt.dim != dim:
-            raise InvalidParameterError("collinear expects points of one ambient space")
-    return _rank_mod_p([pt.coords for pt in pts], p) <= 2
+    return _rank((x, y, z), "collinear") <= 2
 
 
 def coplanar(x, y, z, w):
-    """Whether four points of P^3(F_p) lie on one plane (4x4 determinant test)."""
-    pts = (x, y, z, w)
-    p = pts[0].p
-    for pt in pts:
-        if not isinstance(pt, ProjPointFp) or pt.p != p:
-            raise InvalidParameterError("coplanar expects points of one ambient space")
-        if pt.dim != 3:
-            raise UnsupportedDimensionError("coplanar is defined in ambient dimension 3")
-    return _det_int([pt.coords for pt in pts]) % p == 0
+    """Whether four points of P^3(F_p) lie on one plane.
+
+    Decided, like `collinear`, by the rank of the coordinate matrix mod p
+    being at most 3.
+    """
+    rank = _rank((x, y, z, w), "coplanar")
+    if x.dim != 3:
+        raise UnsupportedDimensionError("coplanar is defined in ambient dimension 3")
+    return rank <= 3
 
 
-def _rank_mod_p(rows, p):
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col] % p), None)
+def _row_reduce(rows, p):
+    """Reduced row echelon form mod p: (nonzero rows, their pivot columns)."""
+    mat = [[v % p for v in r] for r in rows]
+    pivots = []
+    for col in range(len(mat[0])):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[row], mat[piv] = mat[piv], mat[row]
-        inv = pow(mat[row][col] % p, -1, p)
+        inv = pow(mat[row][col], -1, p)
         mat[row] = [(v * inv) % p for v in mat[row]]
         for r in range(len(mat)):
-            if r != row and mat[r][col] % p:
-                f = mat[r][col] % p
+            f = mat[r][col]
+            if r != row and f:
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
 
 
-def _det_int(rows):
-    """Exact integer determinant by cofactor expansion (tiny matrices only)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _det_int(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+def _kernel(rows, p):
+    """A basis of the null space mod p, one vector per free column."""
+    reduced, pivots = _row_reduce(rows, p)
+    cols = len(rows[0])
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[free] = 1
+        for r, col in zip(reduced, pivots):
+            vec[col] = -r[free] % p
+        basis.append(tuple(vec))
+    return basis
 
 
 def enumerate_points(n, p):
@@ -256,9 +256,7 @@ def enumerate_lines(n, p):
     so no normalization or deduplication is needed.
     """
     check_prime(p)
-    _check_dim(n)
-    if n < 2:
-        raise InvalidParameterError(f"lines need ambient dimension 2 or 3, got {n}")
+    _check_dim(n, low=2)
     cols = n + 1
     lines = []
     for a in range(cols):
@@ -275,12 +273,7 @@ def enumerate_lines(n, p):
                     r1[b] = 1
                     for j, v in zip(free1, vals1):
                         r1[j] = v
-                    members = [ProjPointFp(tuple(r1), p)]
-                    for t in range(p):
-                        members.append(
-                            ProjPointFp(tuple((u + t * v) % p for u, v in zip(r0, r1)), p)
-                        )
-                    lines.append(LineFp(members))
+                    lines.append(_span(r0, r1, p))
     lines.sort()
     return lines
 
@@ -288,9 +281,7 @@ def enumerate_lines(n, p):
 def point_line_counts(n, p):
     """(points, lines) of P^n(F_p), n in {2, 3}, by the closed formulas."""
     check_prime(p)
-    _check_dim(n)
-    if n < 2:
-        raise InvalidParameterError(f"lines need ambient dimension 2 or 3, got {n}")
+    _check_dim(n, low=2)
     points = sum(p**i for i in range(n + 1))
     lines = points if n == 2 else 1 + p + 2 * p**2 + p**3 + p**4
     return points, lines
@@ -300,23 +291,16 @@ def line_dual(line):
     """Dual point of a line in P^2 (coefficients of its linear equation)."""
     if line.dim != 2:
         raise UnsupportedDimensionError("line duals live in ambient dimension 2")
-    x, y = line.points[0], line.points[1]
-    u, v = x.coords, y.coords
-    p = line.p
-    d = (
-        (u[1] * v[2] - u[2] * v[1]) % p,
-        (u[2] * v[0] - u[0] * v[2]) % p,
-        (u[0] * v[1] - u[1] * v[0]) % p,
-    )
-    return ProjPointFp(d, p)
+    (d,) = _kernel([pt.coords for pt in line.points[:2]], line.p)
+    return ProjPointFp(d, line.p)
 
 
 def line_from_dual(d):
     """Line of P^2 cut out by the linear form with coefficient vector d."""
     if d.dim != 2:
         raise UnsupportedDimensionError("line duals live in ambient dimension 2")
-    members = [pt for pt in enumerate_points(2, d.p) if _dot(d.coords, pt.coords, d.p) == 0]
-    return LineFp(members)
+    u, v = _kernel([d.coords], d.p)
+    return _span(u, v, d.p)
 
 
 @dataclass(frozen=True)
@@ -433,25 +417,16 @@ class IncidenceConfig:
 
 
 def _plane_dual_from_members(members, p):
-    for trio in itertools.combinations(members, 3):
-        rows = [pt.coords for pt in trio]
-        if _rank_mod_p(rows, p) == 3:
-            d = tuple(
-                (-1) ** j
-                * _det_int([[r[c] for c in range(4) if c != j] for r in rows])
-                % p
-                for j in range(4)
-            )
-            return ProjPointFp(d, p)
-    raise InvalidParameterError("plane members do not span a plane")
+    basis = _kernel([pt.coords for pt in members], p) if members else ()
+    if len(basis) != 1:
+        raise InvalidParameterError("plane members do not lie on exactly one plane")
+    return ProjPointFp(basis[0], p)
 
 
 def incidence_config(n, p):
     """The full incidence configuration of P^n(F_p), n in {2, 3}."""
     check_prime(p)
-    if n not in (2, 3):
-        _check_dim(n)
-        raise InvalidParameterError(f"incidence_config needs ambient dimension 2 or 3, got {n}")
+    _check_dim(n, low=2)
     points = enumerate_points(n, p)
     planes = []
     if n == 3:

@@ -28,12 +28,12 @@ from .errors import (
     BudgetExceededError,
     InvalidParameterError,
     MissingAssignmentError,
+    UndecidableCollinearityError,
 )
 from .finite_geometry import (
     IncidenceConfig,
     ProjPointFp,
     check_prime,
-    collinear,
     enumerate_lines,
     enumerate_points,
     line_from_dual,
@@ -61,7 +61,11 @@ def frame_anchors(p):
 
 @dataclass(frozen=True)
 class Frame:
-    """Images of the four frame anchors in P^2(A)."""
+    """Images of the four frame anchors in P^2(A).
+
+    Each image must reduce to its standard anchor; the four anchors are in
+    general position for every p, so the images are too.
+    """
 
     ring: LocalRing
     images: tuple
@@ -69,27 +73,17 @@ class Frame:
     def __post_init__(self):
         if len(self.images) != 4:
             raise InvalidParameterError("a frame fixes exactly four anchor images")
-        p = self.ring.p
-        anchors = frame_anchors(p)
-        for anchor, img in zip(anchors, self.images):
+        for anchor, img in zip(frame_anchors(self.ring.p), self.images):
             if not isinstance(img, ProjPointA) or img.ring != self.ring or img.dim != 2:
                 raise InvalidParameterError("frame images must be plane points over the ring")
             if img.reduce() != anchor:
                 raise InvalidParameterError(
                     f"frame image {img!r} does not reduce to its anchor {anchor!r}"
                 )
-        reductions = [img.reduce() for img in self.images]
-        for i in range(4):
-            trio = [reductions[j] for j in range(4) if j != i]
-            if collinear(*trio):
-                raise InvalidParameterError("frame image residues are not in general position")
 
     @classmethod
     def standard(cls, ring):
-        imgs = tuple(
-            ProjPointA(ring, [ring.elem(c) for c in coords]) for coords in _ANCHOR_COORDS
-        )
-        return cls(ring=ring, images=imgs)
+        return cls(ring=ring, images=tuple(ProjPointA(ring, c) for c in _ANCHOR_COORDS))
 
     def assignment(self):
         """Anchor point -> image, as a dict."""
@@ -175,7 +169,7 @@ def propagate_forced_lift(p, ring):
 
     def derive(target, la, lb, expected_coords):
         pt = line_intersect_A(la, lb)
-        expected = ProjPointA(ring, [ring.elem(c) for c in expected_coords])
+        expected = ProjPointA(ring, expected_coords)
         assert pt == expected, (
             f"derived {pt!r} violates the derived-coordinate law, expected {expected!r}"
         )
@@ -217,13 +211,11 @@ def propagate_forced_lift(p, ring):
     )
 
     element = ring.p_one
-    required = ProjPointA(ring, [ring.elem(c) for c in (0, 0, 1)])
-    agrees = final == required
-    assert agrees == element.is_zero
+    assert (final == e2_img) == element.is_zero
     obstruction = Obstruction(
         element=element,
         derived=final,
-        required=required,
+        required=e2_img,
         verdict=VERDICT_OPEN if element.is_zero else VERDICT_BLOCKED,
     )
     trace = PropagationTrace(p=p, ring=ring, frame=frame, steps=tuple(steps))
@@ -245,9 +237,10 @@ def collinear_triples(p):
 
 
 def _images_collinear(a, b, c):
-    if a.reduce() == b.reduce() == c.reduce():
-        return True  # determinant test undecidable; vacuously accepted
-    return collinear_A(a, b, c)
+    try:
+        return collinear_A(a, b, c)
+    except UndecidableCollinearityError:
+        return True  # one shared residue: vacuously accepted
 
 
 def check_collinearity_preserving(mapping, p, ring):
@@ -276,10 +269,7 @@ def check_collinearity_preserving(mapping, p, ring):
 def trivial_lift_map(p, ring):
     """The coordinate-wise lift: each canonical F_p coordinate re-read in A."""
     check_prime(p)
-    return {
-        pt: ProjPointA(ring, [ring.elem(c) for c in pt.coords])
-        for pt in enumerate_points(2, p)
-    }
+    return {pt: ProjPointA(ring, pt.coords) for pt in enumerate_points(2, p)}
 
 
 @dataclass(frozen=True)
@@ -399,7 +389,7 @@ def extract_used_configuration(trace):
     duals = []
     for step in trace.steps:
         for line in (step.line1, step.line2):
-            d = line.reduce_dual()
+            d = line.dual.reduce()
             if d not in duals:
                 duals.append(d)
     lines = sorted(line_from_dual(d) for d in duals)
@@ -442,25 +432,19 @@ def certificate_parse(doc):
         raise InvalidParameterError(f"unknown frame tag {doc.get('frame')!r}")
     frame = Frame.standard(ring)
 
-    def elem_of(raw):
-        return ring.elem(raw if isinstance(raw, int) else tuple(raw))
-
-    def point_of(raws):
-        return ProjPointA(ring, [elem_of(raw) for raw in raws])
-
     steps = []
     for raw in doc["steps"]:
         steps.append(
             DerivationStep(
                 target=ProjPointFp(raw["target"], p),
-                line1=LineA(point_of(raw["line1"]["dual"])),
-                line2=LineA(point_of(raw["line2"]["dual"])),
-                derived=point_of(raw["derived"]),
+                line1=LineA(ProjPointA(ring, raw["line1"]["dual"])),
+                line2=LineA(ProjPointA(ring, raw["line2"]["dual"])),
+                derived=ProjPointA(ring, raw["derived"]),
             )
         )
     if not steps:
         raise InvalidParameterError("certificate has no derivation steps")
-    element = elem_of(doc["obstruction"]["element"])
+    element = ring.elem(doc["obstruction"]["element"])
     if bool(doc["obstruction"]["isZero"]) != element.is_zero:
         raise InvalidParameterError("certificate isZero flag contradicts its element")
     verdict = doc["verdict"]
@@ -469,7 +453,7 @@ def certificate_parse(doc):
     obstruction = Obstruction(
         element=element,
         derived=steps[-1].derived,
-        required=ProjPointA(ring, [ring.elem(c) for c in (0, 0, 1)]),
+        required=frame.images[2],
         verdict=verdict,
     )
     trace = PropagationTrace(p=p, ring=ring, frame=frame, steps=tuple(steps))

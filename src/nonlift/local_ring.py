@@ -11,8 +11,10 @@ for F_p[t]/(t^k).  Projective points over a ring A carry at least one unit
 coordinate and are normalized by scaling the first unit coordinate to 1.
 
 Lines in the projective plane over A are represented by their dual
-coordinate vectors; joins, meets and collinearity are all computed through
-exact cross products and determinants.
+coordinate vectors.  Join and meet are then one operation, the normalized
+cross product of two points with distinct residues (of two line duals, for
+a meet), and three points are collinear when the cross product of two of
+them is orthogonal to the third.
 """
 
 from __future__ import annotations
@@ -118,12 +120,6 @@ class LocalRing:
     def one_rep(self):
         return 1 if self.kind == "zpk" else (1,) + (0,) * (self.k - 1)
 
-    def int_rep(self, n):
-        """Representation of n * 1 for an ordinary integer n."""
-        if self.kind == "zpk":
-            return n % self._modulus
-        return (n % self.p,) + (0,) * (self.k - 1)
-
     def reps(self):
         """All raw representations in ascending lexicographic order."""
         if self.kind == "zpk":
@@ -154,7 +150,7 @@ class LocalRing:
     @property
     def p_one(self):
         """The element p * 1, whose vanishing is the whole story."""
-        return RingElem(self, self.int_rep(self.p))
+        return RingElem(self, self.p)
 
     @property
     def p_vanishes(self):
@@ -357,7 +353,7 @@ class ProjPointA:
     @classmethod
     def from_json(cls, doc):
         ring = LocalRing.from_json(doc["ring"])
-        return cls(ring, [ring.elem(c if isinstance(c, int) else tuple(c)) for c in doc["coords"]])
+        return cls(ring, doc["coords"])
 
 
 def enumerate_lifts(x, ring):
@@ -386,7 +382,7 @@ def enumerate_lifts(x, ring):
             options.append(ring.lifts_of_residue(c))
     out = []
     for combo in itertools.product(*options):
-        out.append(ProjPointA(ring, [ring.elem(rep) for rep in combo]))
+        out.append(ProjPointA(ring, combo))
     return out
 
 
@@ -417,13 +413,20 @@ def _dot_elems(u, v):
     return total
 
 
-def _det3(rows):
-    a, b, c = rows
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
+def _cross_point(x, y, error, message):
+    """The normalized cross product of two plane points with distinct residues.
+
+    For two points it is the dual of the line joining them; for two line
+    duals it is the point where the lines meet.  Equal residues raise
+    `error(message)`, with the shared residue filled into `message`.
+    """
+    ring = _same_plane_points((x, y))
+    residue = x.reduce()
+    if residue == y.reduce():
+        raise error(message.format(residue))
+    out = ProjPointA(ring, _cross(x.coords, y.coords))
+    assert _dot_elems(out.coords, x.coords).is_zero and _dot_elems(out.coords, y.coords).is_zero
+    return out
 
 
 class LineA:
@@ -446,9 +449,6 @@ class LineA:
     def contains(self, x):
         return _dot_elems(self.dual.coords, x.coords).is_zero
 
-    def reduce_dual(self):
-        return self.dual.reduce()
-
     def __eq__(self, other):
         if not isinstance(other, LineA):
             return NotImplemented
@@ -466,15 +466,10 @@ class LineA:
 
 def line_through_A(x, y):
     """The unique line of P^2(A) joining two points with distinct residues."""
-    ring = _same_plane_points((x, y))
-    if x.reduce() == y.reduce():
-        raise IndeterminateSpanError(
-            f"points reduce to the same residue point {x.reduce()!r}; join not unique"
-        )
-    dual = ProjPointA(ring, _cross(x.coords, y.coords))
-    line = LineA(dual)
-    assert line.contains(x) and line.contains(y)
-    return line
+    return LineA(_cross_point(
+        x, y, IndeterminateSpanError,
+        "points reduce to the same residue point {!r}; join not unique",
+    ))
 
 
 def line_intersect_A(l1, l2):
@@ -483,25 +478,23 @@ def line_intersect_A(l1, l2):
         raise InvalidParameterError("line_intersect_A expects LineA arguments")
     if l1.ring != l2.ring:
         raise InvalidParameterError("lines over different rings")
-    if l1.reduce_dual() == l2.reduce_dual():
-        raise IndeterminateIntersectionError(
-            "lines reduce to the same residue line; intersection not unique"
-        )
-    point = ProjPointA(l1.ring, _cross(l1.dual.coords, l2.dual.coords))
-    assert l1.contains(point) and l2.contains(point)
-    return point
+    return _cross_point(
+        l1.dual, l2.dual, IndeterminateIntersectionError,
+        "lines reduce to the same residue line; intersection not unique",
+    )
 
 
 def collinear_A(x, y, z):
     """Determinant collinearity test for three plane points over A.
 
-    Decisive whenever at least two of the three residues differ; when all
-    three residues coincide the determinant always vanishes and the test
-    says nothing, so that case raises UndecidableCollinearityError.
+    The determinant is the cross product of x and y dotted with z.  It is
+    decisive whenever at least two of the three residues differ; when all
+    three residues coincide it always vanishes and the test says nothing,
+    so that case raises UndecidableCollinearityError.
     """
     _same_plane_points((x, y, z))
     if x.reduce() == y.reduce() == z.reduce():
         raise UndecidableCollinearityError(
             "all three points share one residue; determinant test undecidable"
         )
-    return _det3([x.coords, y.coords, z.coords]).is_zero
+    return _dot_elems(_cross(x.coords, y.coords), z.coords).is_zero

@@ -227,10 +227,22 @@ class VarietyClass:
         )
 
 
+DIM_MAX = 2500
+
+
+def _check_dim_cap(dim, label):
+    """Refuse, before any polynomial is built, a class of dimension above DIM_MAX."""
+    if dim > DIM_MAX:
+        raise BudgetExceededError(
+            0, DIM_MAX, f"{label} dimension {dim} exceeds the supported maximum {DIM_MAX}"
+        )
+
+
 def projective_space_class(n):
-    """[P^n] = 1 + L + ... + L^n."""
+    """[P^n] = 1 + L + ... + L^n, for n up to DIM_MAX."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParameterError(f"projective space dimension must be >= 0, got {n!r}")
+    _check_dim_cap(n, "projective space")
     return VarietyClass(name=f"P^{n}", dim=n, cls=LPolynomial.sum_of_powers(0, n))
 
 
@@ -239,17 +251,15 @@ def quadric_class(d):
 
     1 + L + ... + L^d, plus one extra middle term L^(d/2) when d is even
     (the even quadric carries two middle cells; the d = 2 case is the
-    product of two projective lines and fixes the rule).
+    product of two projective lines and fixes the rule).  Capped at DIM_MAX.
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise InvalidParameterError(f"quadric dimension must be >= 1, got {d!r}")
+    _check_dim_cap(d, "quadric")
     cls = LPolynomial.sum_of_powers(0, d)
     if d % 2 == 0:
         cls = cls + LPolynomial.lefschetz(d // 2)
     return VarietyClass(name=f"Q^{d}", dim=d, cls=cls)
-
-
-GRASS_DIM_MAX = 2500
 
 
 def grassmannian_class(r, m):
@@ -257,7 +267,7 @@ def grassmannian_class(r, m):
 
     Computed by the Gaussian binomial product formula
     [m, r] = prod_{i=1..r} (1 - L^(m-r+i)) / (1 - L^i).  Dimensions
-    r(m - r) above GRASS_DIM_MAX are refused; at the cap (r=50, m=100) the
+    r(m - r) above DIM_MAX are refused; at the cap (r=50, m=100) the
     class takes about 0.02 s on a 2-vCPU host under Python 3.11.
     """
     for v, label in ((r, "r"), (m, "m")):
@@ -266,11 +276,7 @@ def grassmannian_class(r, m):
     if not 0 <= r <= m:
         raise InvalidParameterError(f"need 0 <= r <= m, got r={r}, m={m}")
     dim = r * (m - r)
-    if dim > GRASS_DIM_MAX:
-        raise BudgetExceededError(
-            0, GRASS_DIM_MAX,
-            f"Grassmannian dimension {dim} exceeds the supported maximum {GRASS_DIM_MAX}",
-        )
+    _check_dim_cap(dim, "Grassmannian")
     return VarietyClass(name=f"Gr({r},{m})", dim=dim, cls=_gauss_binomial(m, r))
 
 
@@ -366,7 +372,8 @@ def construction_one_class(y, center="frobenius-graph"):
 
         [y]^2 + (L + ... + L^(dim y - 1)) [y].
 
-    Needs dim y >= 2 so that the center has codimension at least 2.
+    Needs dim y >= 2 so that the center has codimension at least 2, and
+    2 dim y at most DIM_MAX.
     """
     if not isinstance(y, VarietyClass):
         raise InvalidParameterError("construction_one_class expects a VarietyClass")
@@ -376,16 +383,12 @@ def construction_one_class(y, center="frobenius-graph"):
         raise InvalidParameterError(
             f"degenerate: center codimension {y.dim} < 2 (need dim y >= 2)"
         )
+    _check_dim_cap(2 * y.dim, "construction-one")
     product = VarietyClass(name=f"{y.name} x {y.name}", dim=2 * y.dim, cls=y.cls * y.cls)
     tag = "graph" if center == "frobenius-graph" else "diagonal"
     center_cls = VarietyClass(name=f"{tag}[{y.name}]", dim=y.dim, cls=y.cls)
     out = blowup_class(product, center_cls, y.dim)
     return VarietyClass(name=f"Bl[{tag}]({y.name} x {y.name})", dim=out.dim, cls=out.cls)
-
-
-def rational_point_line_counts(p):
-    """(points, lines) of 3-space over F_p by the closed formulas."""
-    return point_line_counts(3, p)
 
 
 def construction_two_class(p):
@@ -398,7 +401,7 @@ def construction_two_class(p):
         [P^3] + (L + L^2) N_points + L (1 + L) N_lines.
     """
     check_prime(p)
-    n_pts, n_lines = rational_point_line_counts(p)
+    n_pts, n_lines = point_line_counts(3, p)
     ambient = projective_space_class(3)
     points_center = VarietyClass(
         name=f"{n_pts} rational points", dim=0, cls=LPolynomial((n_pts,))
@@ -492,19 +495,26 @@ class InvariantsTable:
     """Betti and Hodge data read off a cellular class, plus sanity flags.
 
     The Hodge table is diagonal (h^{i,i} = b_{2i}) because every in-scope
-    space is cellular; the de Rham flag compares sum of Betti numbers with
-    the total of the Hodge table, both literally summed from the stored
-    arrays.
+    space is cellular, so only the Betti numbers are stored and `hodge`
+    builds the dense (dim+1) x (dim+1) table on demand.  The de Rham flag
+    compares the sum of the Betti numbers with the sum of the class
+    coefficients, the Hodge diagonal.
     """
 
     dim: int
     betti: tuple
-    hodge: tuple
     picard: int
     euler: int
     palindromic: bool
     nonnegative: bool
     hodge_de_rham_sum_equal: bool
+
+    @property
+    def hodge(self):
+        d = self.dim
+        return tuple(
+            tuple(self.betti[2 * i] if i == j else 0 for j in range(d + 1)) for i in range(d + 1)
+        )
 
     def to_json(self):
         return {
@@ -523,7 +533,6 @@ class InvariantsTable:
         return cls(
             dim=doc["dim"],
             betti=tuple(int(b) for b in doc["betti"]),
-            hodge=tuple(tuple(int(h) for h in row) for row in doc["hodge"]),
             picard=int(doc["picard"]),
             euler=int(doc["euler"]),
             palindromic=doc["palindromic"],
@@ -549,20 +558,16 @@ def invariants_table(v):
     betti = []
     for i in range(2 * d + 1):
         betti.append(v.cls.coeff(i // 2) if i % 2 == 0 else 0)
-    hodge = tuple(
-        tuple(v.cls.coeff(i) if i == j else 0 for j in range(d + 1)) for i in range(d + 1)
-    )
     betti = tuple(betti)
     picard = betti[2] if len(betti) > 2 else 0
     euler = v.cls(1)
     palindromic = v.cls.is_palindromic(d)
     nonnegative = all(c >= 0 for c in v.cls.coeffs)
     betti_total = sum(betti)
-    hodge_total = sum(sum(row) for row in hodge)
+    hodge_total = sum(v.cls.coeff(i) for i in range(d + 1))
     return InvariantsTable(
         dim=d,
         betti=betti,
-        hodge=hodge,
         picard=picard,
         euler=euler,
         palindromic=palindromic,

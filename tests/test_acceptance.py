@@ -30,15 +30,14 @@ from nonlift import (
     line_through,
     mp_configuration,
     point_count_oracle_construction_two,
+    point_line_counts,
     projective_space_class,
     propagate_forced_lift,
     quadric_class,
     quadric_point_count,
-    rational_point_line_counts,
     ring_make,
     trivial_lift_map,
 )
-from nonlift.finite_geometry import point_line_counts
 
 PRIMES_SMALL = (2, 3, 5, 7)
 PRIMES_PROP = (2, 3, 5, 7, 11, 13)
@@ -253,7 +252,7 @@ def _palindromic_and_hodge():
 def _euler_additivity():
     # blow-up adds (codim - 1) copies of the center's Euler number
     for p in (2, 3, 5):
-        n_pts, n_lines = rational_point_line_counts(p)
+        n_pts, n_lines = point_line_counts(3, p)
         expected = 4 + 2 * n_pts + 1 * (2 * n_lines)
         assert construction_two_class(p).euler_number() == expected
     for y in (flag_class_typeA(3), quadric_class(3), projective_space_class(2)):

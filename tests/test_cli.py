@@ -1,5 +1,6 @@
 """Command-line behavior: output text, exit codes, determinism, --out."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -223,6 +224,60 @@ def test_byte_identical_reruns(capsys):
         assert first == second
 
 
+# (argv, exit code, sha256 of stdout), captured before the geometry kernels
+# were merged; MAP is a perturbed lift of P^2(F_7) to Z/49 written by the test
+GOLDEN = [
+    ("lift propagate --p 3 --ring zpk:2", 2,
+     "6a51a696e91d81a07b7cf463b8a649305eae58847649c5c9f5569d3870cdcbe0"),
+    ("lift propagate --p 3 --ring zpk:2 --format json", 2,
+     "cc5c5d4454febd89f0335eab9191b718342362f408034276cef2335a6a567297"),
+    ("lift propagate --p 5 --ring fpt:3 --format json", 0,
+     "410f620449e7140b426645494922aa6ec51c92635dc820e19338c22889248f79"),
+    ("lift brute --p 3 --ring fpt:2", 0,
+     "8e1164616f226dfcece98a890a817ad835039e1c10bf1849614b6f79676bf0a8"),
+    ("lift brute --p 3 --ring fpt:2 --format json", 0,
+     "1ac20e67e8617a9c9d89846355ea833057c890f58d4f1c21a7b8e1622a14f43a"),
+    ("lift check --p 2", 0,
+     "12f03d8723e14f10d867e53bdae9cba529e8dcca94e97a33e983429611974e7a"),
+    ("lift check --p 7 --ring zpk:2 --map MAP", 0,
+     "fb840ff8d3c86ef0c5a1fa077ff4e4a7c841df26a02fff142b18a26c8f63647c"),
+    ("geom count --dim 2 --p 3", 0,
+     "ff6b6180918633eff74c43ad5f564bf295b8399893b4cd06648beafe8f6a557d"),
+    ("geom count --dim 3 --p 3", 0,
+     "22c135efa891a32b388590c8e218a4e37f82e52c1c597d900ade43981ad66f18"),
+    ("geom config --dim 2 --p 3", 0,
+     "12274ad9e4956ba29c32676fd2e209bcfbdde5976491709e309acc693c839b41"),
+    ("geom config --dim 3 --p 3", 0,
+     "60675cd4e3471c4258fef3baeb90ef0a25d561a4dfff81b87e90dfdd2f320110"),
+    ("geom mp --p 7 --format json", 0,
+     "b168154a646d38063f253e2ecdd9dbbcbe2d7222525a237159e11d803fe8b474"),
+    ("motive invariants --space construction-one:flag:6", 0,
+     "92992fdaf2cbda75ba8567d8f859fec4d5d1c4c33e52828a8523740d7085c323"),
+    ("motive invariants --space construction-one:flag:6 --format json", 0,
+     "fccd59dbd2eacb16699cc8fa0b2903d588d157fdb7f26ad93d803d0587eb99f9"),
+    ("lift brute --p 1 --ring zpk:2", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+def test_golden_outputs(capsys, tmp_path):
+    p = 7
+    points = [(0, 0, 1)] + [(0, 1, b) for b in range(p)]
+    points += [(1, a, b) for a in range(p) for b in range(p)]
+    # every point keeps its residue; coordinates move by multiples of p
+    doc = {
+        "assignments": [
+            {"point": list(c), "image": [v + p * ((i + j) % 3) for j, v in enumerate(c)]}
+            for i, c in enumerate(points)
+        ]
+    }
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv, code, digest in GOLDEN:
+        got, out, _ = run(capsys, *argv.replace("MAP", str(path)).split())
+        assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest), argv
+
+
 def test_usage_errors_exit_1(capsys):
     cases = [
         ("lift", "propagate", "--p", "2", "--ring", "zpk"),
@@ -234,6 +289,9 @@ def test_usage_errors_exit_1(capsys):
         ("motive", "invariants", "--space", "flag"),
         ("motive", "flag", "--m", "9"),
         ("motive", "grass", "--r", "600", "--m", "1200"),
+        ("motive", "ps", "--dim", "100000000"),
+        ("motive", "quadric", "--dim", "2501"),
+        ("motive", "construction-one", "--space", "ps:1251"),
         ("motive", "quadric", "--dim", "0"),
     ]
     for args in cases:

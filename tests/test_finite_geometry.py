@@ -374,6 +374,25 @@ def test_from_json_rejects_short_lines():
         IncidenceConfig.from_json(doc)
 
 
+def test_from_json_rejects_non_coplanar_plane():
+    cfg = incidence_config(3, 2)
+    back = IncidenceConfig.from_json(cfg.to_json())
+    assert [pl.dual for pl in back.planes] == [pl.dual for pl in cfg.planes]
+    # the four coordinate points span all of P^3, so no plane holds them
+    doc = {
+        "dim": 3,
+        "p": 2,
+        "points": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "lines": [],
+        "planes": [[0, 1, 2, 3]],
+        "inclusions": [],
+    }
+    with pytest.raises(InvalidParameterError):
+        IncidenceConfig.from_json(doc)
+    doc["planes"] = [[0, 1, 2]]
+    assert IncidenceConfig.from_json(doc).planes[0].dual == ProjPointFp((0, 0, 0, 1), 2)
+
+
 def test_lines_sortable_and_hashable():
     lines = enumerate_lines(2, 3)
     assert sorted(lines) == lines

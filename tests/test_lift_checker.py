@@ -172,6 +172,28 @@ def test_trivial_lift_violations():
     assert check_collinearity_preserving(trivial_lift_map(3, ring_make("fpt", 3, 2)), 3, ring_make("fpt", 3, 2)) == ()
 
 
+def test_check_accepts_triple_with_one_shared_residue():
+    # send the line x = 0 of the Fano plane to three lifts of (0:0:1); the
+    # determinant test cannot decide that triple, so it is accepted
+    triple = (ProjPointFp((0, 0, 1), 2), ProjPointFp((0, 1, 0), 2), ProjPointFp((0, 1, 1), 2))
+    mapping = trivial_lift_map(2, Z4)
+    for pt, image in zip(triple, ((0, 0, 1), (0, 2, 1), (2, 0, 1))):
+        mapping[pt] = ProjPointA(Z4, image)
+    violations = check_collinearity_preserving(mapping, 2, Z4)
+    assert triple in collinear_triples(2)
+    assert triple not in violations
+    # the moved images of (0:1:0) and (0:1:1) break the other lines through them
+    assert violations == tuple(
+        tuple(ProjPointFp(c, 2) for c in coords)
+        for coords in (
+            ((0, 1, 0), (1, 0, 0), (1, 1, 0)),
+            ((0, 1, 0), (1, 0, 1), (1, 1, 1)),
+            ((0, 1, 1), (1, 0, 0), (1, 1, 1)),
+            ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+        )
+    )
+
+
 def test_check_requires_total_map():
     mapping = trivial_lift_map(2, Z4)
     mapping.pop(ProjPointFp((1, 1, 1), 2))

@@ -292,7 +292,7 @@ def test_line_span_indeterminate():
 def test_line_intersect_indeterminate():
     l1 = line_through_A(ProjPointA(Z4, (1, 0, 0)), ProjPointA(Z4, (0, 0, 1)))
     l2 = line_through_A(ProjPointA(Z4, (1, 0, 0)), ProjPointA(Z4, (0, 2, 1)))
-    assert l1.reduce_dual() == l2.reduce_dual()
+    assert l1.dual.reduce() == l2.dual.reduce()
     assert l1 != l2
     with pytest.raises(IndeterminateIntersectionError):
         line_intersect_A(l1, l2)

@@ -5,12 +5,13 @@ before the coefficients are frozen here.
 """
 
 import math
+import tracemalloc
 
 import pytest
 
 from nonlift import (
     BudgetExceededError,
-    GRASS_DIM_MAX,
+    DIM_MAX,
     InvalidBlowupError,
     InvalidParameterError,
     InvariantsTable,
@@ -27,10 +28,10 @@ from nonlift import (
     incidence_variety_point_count,
     invariants_table,
     point_count_oracle_construction_two,
+    point_line_counts,
     projective_space_class,
     quadric_class,
     quadric_point_count,
-    rational_point_line_counts,
 )
 
 FROZEN_COEFFS = {
@@ -153,11 +154,24 @@ def test_grassmannian_matches_pascal_recurrence():
 
 def test_grassmannian_size_cap():
     assert grassmannian_class(40, 80).dim == 1600
-    assert grassmannian_class(50, 100).dim == GRASS_DIM_MAX
+    assert grassmannian_class(50, 100).dim == DIM_MAX
     with pytest.raises(BudgetExceededError):
         grassmannian_class(50, 101)
     with pytest.raises(BudgetExceededError):
         grassmannian_class(600, 1200)
+
+
+def test_dimension_cap():
+    assert projective_space_class(DIM_MAX).dim == DIM_MAX
+    assert quadric_class(DIM_MAX).dim == DIM_MAX
+    for build in (
+        lambda: projective_space_class(DIM_MAX + 1),
+        lambda: projective_space_class(10**8),
+        lambda: quadric_class(DIM_MAX + 1),
+        lambda: construction_one_class(projective_space_class(DIM_MAX // 2 + 1)),
+    ):
+        with pytest.raises(BudgetExceededError):
+            build()
 
 
 def test_grassmannian_symmetry_and_counts():
@@ -272,11 +286,11 @@ def test_construction_one_euler():
 
 
 def test_rational_counts():
-    assert rational_point_line_counts(2) == (15, 35)
-    assert rational_point_line_counts(3) == (40, 130)
-    assert rational_point_line_counts(5) == (156, 806)
+    assert point_line_counts(3, 2) == (15, 35)
+    assert point_line_counts(3, 3) == (40, 130)
+    assert point_line_counts(3, 5) == (156, 806)
     for p in (2, 3, 5):
-        pts, lines = rational_point_line_counts(p)
+        pts, lines = point_line_counts(3, p)
         assert pts == len(enumerate_points(3, p))
         assert lines == len(enumerate_lines(3, p))
 
@@ -353,6 +367,18 @@ def test_invariants_table_frozen():
     for i, row in enumerate(tab.hodge):
         for j, h in enumerate(row):
             assert h == (tab.betti[2 * i] if i == j else 0)
+
+
+def test_invariants_table_stores_no_dense_hodge_table():
+    v = grassmannian_class(50, 100)
+    tracemalloc.start()
+    try:
+        tab = invariants_table(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert tab.betti[::2] == v.cls.coeffs
 
 
 def test_invariants_table_small():
