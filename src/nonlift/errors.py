@@ -49,5 +49,11 @@ class BudgetExceededError(NonliftError):
         self.budget = budget
 
 
+def check_cap(value, cap, label):
+    """Refuse a size above its documented cap, before any work is done."""
+    if value > cap:
+        raise BudgetExceededError(0, cap, f"{label} {value} exceeds the supported maximum {cap}")
+
+
 class InvalidBlowupError(NonliftError):
     """Center dimension and codimension do not fit the ambient class."""

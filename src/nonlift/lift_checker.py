@@ -26,9 +26,11 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
+    IndeterminateIntersectionError,
     InvalidParameterError,
     MissingAssignmentError,
     UndecidableCollinearityError,
+    check_cap,
 )
 from .finite_geometry import (
     IncidenceConfig,
@@ -50,6 +52,15 @@ from .local_ring import (
 
 VERDICT_BLOCKED = "non-liftable"
 VERDICT_OPEN = "liftable-not-excluded"
+
+# Size caps, checked before anything is enumerated.  The search and the
+# collinearity check first list all (p^2+p+1)·C(p+1,3) collinear triples of
+# P^2(F_p), 66,612 at p = 13; the search also builds the lifts of every
+# free point, (p^2+p-3)·p^(2(k-1)) points, up front; propagation stores 2p
+# steps.  The ring length is capped by local_ring.K_MAX.
+PLANE_P_MAX = 13
+LIFTS_MAX = 50_000
+PROPAGATE_P_MAX = 5000
 
 _ANCHOR_COORDS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
@@ -139,14 +150,6 @@ class Obstruction:
         return self.element.is_zero
 
 
-def _axis_point_fp(n, p):
-    return ProjPointFp((n % p, 0, 1), p)
-
-
-def _diag_point_fp(n, p):
-    return ProjPointFp(((n + 1) % p, 1, 1), p)
-
-
 def propagate_forced_lift(p, ring):
     """Run the forced chain over the given ring with the standard frame.
 
@@ -163,22 +166,24 @@ def propagate_forced_lift(p, ring):
         raise InvalidParameterError(
             f"residue characteristic mismatch: p={p} but ring {ring} has p={ring.p}"
         )
+    check_cap(p, PROPAGATE_P_MAX, "prime p")
     frame = Frame.standard(ring)
     e0_img, e1_img, e2_img, unit_img = frame.images
     steps = []
 
-    def derive(target, la, lb, expected_coords):
+    def derive(la, lb, expected_coords):
+        # the target is the residue point of the expected coordinates
         pt = line_intersect_A(la, lb)
         expected = ProjPointA(ring, expected_coords)
         assert pt == expected, (
             f"derived {pt!r} violates the derived-coordinate law, expected {expected!r}"
         )
+        target = ProjPointFp(expected_coords, p)
         steps.append(DerivationStep(target=target, line1=la, line2=lb, derived=pt))
         return pt
 
     # the fifth frame-determined point (1:1:0)
     corner = derive(
-        ProjPointFp((1, 1, 0), p),
         line_through_A(e2_img, unit_img),
         line_through_A(e0_img, e1_img),
         (1, 1, 0),
@@ -189,13 +194,11 @@ def propagate_forced_lift(p, ring):
     prev_diag = unit_img                            # image of (1:1:1)
     for n in range(1, p):
         axis_pt = derive(
-            _axis_point_fp(n, p),
             line_through_A(prev_diag, e1_img),
             axis_line,
             (n, 0, 1),
         )
         prev_diag = derive(
-            _diag_point_fp(n, p),
             line_through_A(axis_pt, corner),
             diag_line,
             (n + 1, 1, 1),
@@ -204,7 +207,6 @@ def propagate_forced_lift(p, ring):
     # closing step: one more walk along the axis lands on (p*1 : 0 : 1),
     # whose target residue is the already-pinned (0:0:1)
     final = derive(
-        _axis_point_fp(p, p),
         line_through_A(prev_diag, e1_img),
         axis_line,
         (p, 0, 1),
@@ -252,6 +254,7 @@ def check_collinearity_preserving(mapping, p, ring):
     collinearity.
     """
     check_prime(p)
+    check_cap(p, PLANE_P_MAX, "prime p")
     points = enumerate_points(2, p)
     for pt in points:
         if pt not in mapping:
@@ -269,6 +272,7 @@ def check_collinearity_preserving(mapping, p, ring):
 def trivial_lift_map(p, ring):
     """The coordinate-wise lift: each canonical F_p coordinate re-read in A."""
     check_prime(p)
+    check_cap(p, PLANE_P_MAX, "prime p")
     return {pt: ProjPointA(ring, pt.coords) for pt in enumerate_points(2, p)}
 
 
@@ -306,6 +310,8 @@ def brute_force_lift_search(p, ring, frame=None, budget=DEFAULT_BUDGET):
         )
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise InvalidParameterError(f"budget must be a positive integer, got {budget!r}")
+    check_cap(p, PLANE_P_MAX, "prime p")
+    check_cap((p * p + p - 3) * p ** (2 * (ring.k - 1)), LIFTS_MAX, "lift count")
     if frame is None:
         frame = Frame.standard(ring)
     elif frame.ring != ring:
@@ -423,7 +429,13 @@ def certificate_json(trace, obstruction):
 
 
 def certificate_parse(doc):
-    """Rebuild (trace, obstruction) from a certificate document."""
+    """Rebuild (trace, obstruction) from a certificate document.
+
+    Every step is replayed: its derived point must be the meet of its two
+    lines and reduce to its target.  The element must be p·1 and the
+    verdict the one that element implies.  That the lines are joins of
+    earlier pinned points is not checked.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
     p = check_prime(doc["p"])
@@ -433,23 +445,32 @@ def certificate_parse(doc):
     frame = Frame.standard(ring)
 
     steps = []
-    for raw in doc["steps"]:
-        steps.append(
-            DerivationStep(
-                target=ProjPointFp(raw["target"], p),
-                line1=LineA(ProjPointA(ring, raw["line1"]["dual"])),
-                line2=LineA(ProjPointA(ring, raw["line2"]["dual"])),
-                derived=ProjPointA(ring, raw["derived"]),
-            )
+    for i, raw in enumerate(doc["steps"], start=1):
+        step = DerivationStep(
+            target=ProjPointFp(raw["target"], p),
+            line1=LineA(ProjPointA(ring, raw["line1"]["dual"])),
+            line2=LineA(ProjPointA(ring, raw["line2"]["dual"])),
+            derived=ProjPointA(ring, raw["derived"]),
         )
+        try:
+            meet = line_intersect_A(step.line1, step.line2)
+        except IndeterminateIntersectionError as exc:
+            raise InvalidParameterError(f"certificate step {i}: {exc}") from None
+        if step.derived != meet:
+            raise InvalidParameterError(f"certificate step {i}: derived point is not the meet")
+        if step.derived.reduce() != step.target:
+            raise InvalidParameterError(f"certificate step {i}: derived point misses its target")
+        steps.append(step)
     if not steps:
         raise InvalidParameterError("certificate has no derivation steps")
     element = ring.elem(doc["obstruction"]["element"])
+    if element != ring.p_one:
+        raise InvalidParameterError(f"certificate element {element} is not p·1 = {ring.p_one}")
     if bool(doc["obstruction"]["isZero"]) != element.is_zero:
         raise InvalidParameterError("certificate isZero flag contradicts its element")
     verdict = doc["verdict"]
-    if verdict not in (VERDICT_BLOCKED, VERDICT_OPEN):
-        raise InvalidParameterError(f"unknown verdict {verdict!r}")
+    if verdict != (VERDICT_OPEN if element.is_zero else VERDICT_BLOCKED):
+        raise InvalidParameterError(f"certificate verdict {verdict!r} contradicts its element")
     obstruction = Obstruction(
         element=element,
         derived=steps[-1].derived,

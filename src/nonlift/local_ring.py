@@ -7,8 +7,11 @@ the second is the equicharacteristic control case with p * 1 = 0 always.
 
 Elements are represented exactly: an integer in [0, p^k) for Z/p^k, and a
 length-k tuple of coefficients (c0 + c1*t + ... ) with entries in [0, p)
-for F_p[t]/(t^k).  Projective points over a ring A carry at least one unit
-coordinate and are normalized by scaling the first unit coordinate to 1.
+for F_p[t]/(t^k).  `RingElem` is the one arithmetic path: its operators
+compute on that representation and build canonical results, so
+`LocalRing.norm_rep` checks only input from outside.  Projective points over
+a ring A carry at least one unit coordinate and are normalized by scaling
+the first unit coordinate to 1.
 
 Lines in the projective plane over A are represented by their dual
 coordinate vectors.  Join and meet are then one operation, the normalized
@@ -28,16 +31,21 @@ from .errors import (
     NotAProjectivePointError,
     UndecidableCollinearityError,
     UnsupportedDimensionError,
+    check_cap,
 )
 from .finite_geometry import MAX_DIM, ProjPointFp, check_prime
 
 KINDS = ("zpk", "fpt")
 
+# Largest ring length k; the lift counts p^(2(k-1)) and the cost of a product
+# over F_p[t]/(t^k) grow with it.
+K_MAX = 8
+
 
 class LocalRing:
     """One of the two coefficient ring families, fixed by (kind, p, k)."""
 
-    __slots__ = ("kind", "p", "k", "size", "_modulus")
+    __slots__ = ("kind", "p", "k", "size")
 
     def __init__(self, kind, p, k):
         if kind not in KINDS:
@@ -45,23 +53,21 @@ class LocalRing:
         check_prime(p)
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise InvalidParameterError(f"ring length k must be an integer >= 1, got {k!r}")
+        check_cap(k, K_MAX, "ring length")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "size", p**k)
-        object.__setattr__(self, "_modulus", p**k if kind == "zpk" else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LocalRing is immutable")
-
-    # -- raw representation arithmetic ------------------------------------
 
     def norm_rep(self, rep):
         """Canonicalize a raw representation (int, or coefficient sequence)."""
         if self.kind == "zpk":
             if not isinstance(rep, int) or isinstance(rep, bool):
                 raise InvalidParameterError(f"Z/p^k element must be an integer, got {rep!r}")
-            return rep % self._modulus
+            return rep % self.size
         if isinstance(rep, int) and not isinstance(rep, bool):
             rep = (rep,)
         rep = tuple(int(c) % self.p for c in rep)
@@ -70,55 +76,6 @@ class LocalRing:
                 f"coefficient vector longer than k={self.k}: {rep!r}"
             )
         return rep + (0,) * (self.k - len(rep))
-
-    def add_rep(self, a, b):
-        if self.kind == "zpk":
-            return (a + b) % self._modulus
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub_rep(self, a, b):
-        if self.kind == "zpk":
-            return (a - b) % self._modulus
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg_rep(self, a):
-        if self.kind == "zpk":
-            return (-a) % self._modulus
-        return tuple((-x) % self.p for x in a)
-
-    def mul_rep(self, a, b):
-        if self.kind == "zpk":
-            return (a * b) % self._modulus
-        out = [0] * self.k
-        for i, x in enumerate(a):
-            if x:
-                for j in range(self.k - i):
-                    out[i + j] = (out[i + j] + x * b[j]) % self.p
-        return tuple(out)
-
-    def residue_rep(self, a):
-        return a % self.p if self.kind == "zpk" else a[0]
-
-    def unit_rep(self, a):
-        return self.residue_rep(a) != 0
-
-    def inv_rep(self, a):
-        if not self.unit_rep(a):
-            raise InvalidParameterError(f"{a!r} is not a unit in {self}")
-        if self.kind == "zpk":
-            return pow(a, -1, self._modulus)
-        p = self.p
-        b = [pow(a[0], -1, p)]
-        for m in range(1, self.k):
-            s = sum(a[i] * b[m - i] for i in range(1, m + 1)) % p
-            b.append((-b[0] * s) % p)
-        return tuple(b)
-
-    def zero_rep(self):
-        return 0 if self.kind == "zpk" else (0,) * self.k
-
-    def one_rep(self):
-        return 1 if self.kind == "zpk" else (1,) + (0,) * (self.k - 1)
 
     def reps(self):
         """All raw representations in ascending lexicographic order."""
@@ -141,11 +98,11 @@ class LocalRing:
 
     @property
     def zero(self):
-        return RingElem(self, self.zero_rep())
+        return RingElem(self, 0)
 
     @property
     def one(self):
-        return RingElem(self, self.one_rep())
+        return RingElem(self, 1)
 
     @property
     def p_one(self):
@@ -193,7 +150,7 @@ def ring_make(kind, p, k):
 
 
 class RingElem:
-    """An element of a LocalRing; thin wrapper over the raw representation."""
+    """An element of a LocalRing; its operators are the one arithmetic path."""
 
     __slots__ = ("ring", "rep")
 
@@ -206,66 +163,87 @@ class RingElem:
 
     def _coerce(self, other):
         if isinstance(other, RingElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise InvalidParameterError("elements of different rings")
             return other
         if isinstance(other, int) and not isinstance(other, bool):
-            return self.ring.elem(other)
+            return RingElem(self.ring, other)
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RingElem(self.ring, self.ring.add_rep(self.rep, other.rep))
+        ring = self.ring
+        if ring.kind == "zpk":
+            return _canonical(ring, (self.rep + sign * other.rep) % ring.size)
+        p = ring.p
+        return _canonical(ring, tuple((x + sign * y) % p for x, y in zip(self.rep, other.rep)))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RingElem(self.ring, self.ring.sub_rep(self.rep, other.rep))
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RingElem(self.ring, self.ring.sub_rep(other.rep, self.rep))
+        return (-self)._sum(other, 1)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RingElem(self.ring, self.ring.mul_rep(self.rep, other.rep))
+        ring, a, b = self.ring, self.rep, other.rep
+        if ring.kind == "zpk":
+            return _canonical(ring, (a * b) % ring.size)
+        p, k = ring.p, ring.k
+        out = [0] * k
+        for i, x in enumerate(a):
+            if x:
+                for j in range(k - i):
+                    out[i + j] = (out[i + j] + x * b[j]) % p
+        return _canonical(ring, tuple(out))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RingElem(self.ring, self.ring.neg_rep(self.rep))
+        ring = self.ring
+        if ring.kind == "zpk":
+            return _canonical(ring, (-self.rep) % ring.size)
+        p = ring.p
+        return _canonical(ring, tuple((-x) % p for x in self.rep))
 
     @property
     def is_unit(self):
-        return self.ring.unit_rep(self.rep)
+        return self.residue != 0
 
     @property
     def is_zero(self):
-        return self.rep == self.ring.zero_rep()
+        return self.rep == 0 if self.ring.kind == "zpk" else not any(self.rep)
 
     @property
     def residue(self):
-        return self.ring.residue_rep(self.rep)
+        return self.rep % self.ring.p if self.ring.kind == "zpk" else self.rep[0]
 
     def inverse(self):
-        return RingElem(self.ring, self.ring.inv_rep(self.rep))
-
-    def sort_key(self):
-        return self.rep
+        ring, a = self.ring, self.rep
+        if not self.is_unit:
+            raise InvalidParameterError(f"{a!r} is not a unit in {ring}")
+        if ring.kind == "zpk":
+            return _canonical(ring, pow(a, -1, ring.size))
+        p = ring.p
+        b = [pow(a[0], -1, p)]
+        for m in range(1, ring.k):
+            s = sum(a[i] * b[m - i] for i in range(1, m + 1)) % p
+            b.append((-b[0] * s) % p)
+        return _canonical(ring, tuple(b))
 
     def __eq__(self, other):
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self.ring == other.ring and self.rep == other.rep
+        return self.rep == other.rep and (self.ring is other.ring or self.ring == other.ring)
 
     def __hash__(self):
         return hash((self.ring, self.rep))
@@ -292,6 +270,14 @@ class RingElem:
         return self.rep if self.ring.kind == "zpk" else list(self.rep)
 
 
+def _canonical(ring, rep):
+    """A RingElem over a representation that is canonical by construction."""
+    elem = object.__new__(RingElem)
+    object.__setattr__(elem, "ring", ring)
+    object.__setattr__(elem, "rep", rep)
+    return elem
+
+
 class ProjPointA:
     """A point of P^n(A) in canonical form (first unit coordinate 1)."""
 
@@ -301,11 +287,11 @@ class ProjPointA:
         elems = []
         for c in coords:
             if isinstance(c, RingElem):
-                if c.ring != ring:
+                if c.ring is not ring and c.ring != ring:
                     raise InvalidParameterError("coordinate from a different ring")
                 elems.append(c)
             else:
-                elems.append(ring.elem(c))
+                elems.append(RingElem(ring, c))
         if not 1 <= len(elems) - 1 <= MAX_DIM:
             raise UnsupportedDimensionError(
                 f"projective points need 2 to {MAX_DIM + 1} coordinates, got {len(elems)}"
@@ -341,9 +327,6 @@ class ProjPointA:
     def __repr__(self):
         return f"({':'.join(str(c) for c in self.coords)}) over {self.ring}"
 
-    def sort_key(self):
-        return tuple(c.rep for c in self.coords)
-
     def to_json(self):
         return {
             "ring": self.ring.to_json(),
@@ -377,13 +360,10 @@ def enumerate_lifts(x, ring):
         if i < pivot:
             options.append(ring.lifts_of_residue(0))
         elif i == pivot:
-            options.append([ring.one_rep()])
+            options.append([1])
         else:
             options.append(ring.lifts_of_residue(c))
-    out = []
-    for combo in itertools.product(*options):
-        out.append(ProjPointA(ring, combo))
-    return out
+    return [ProjPointA(ring, combo) for combo in itertools.product(*options)]
 
 
 def _same_plane_points(points):
@@ -476,8 +456,6 @@ def line_intersect_A(l1, l2):
     """The unique intersection point of two lines with distinct residue duals."""
     if not isinstance(l1, LineA) or not isinstance(l2, LineA):
         raise InvalidParameterError("line_intersect_A expects LineA arguments")
-    if l1.ring != l2.ring:
-        raise InvalidParameterError("lines over different rings")
     return _cross_point(
         l1.dual, l2.dual, IndeterminateIntersectionError,
         "lines reduce to the same residue line; intersection not unique",

@@ -24,9 +24,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceededError,
     InvalidBlowupError,
     InvalidParameterError,
+    check_cap,
 )
 from .finite_geometry import check_prime, enumerate_lines, enumerate_points, point_line_counts
 
@@ -227,22 +227,15 @@ class VarietyClass:
         )
 
 
+# Largest dimension of a class; larger ones are refused before any polynomial is built.
 DIM_MAX = 2500
-
-
-def _check_dim_cap(dim, label):
-    """Refuse, before any polynomial is built, a class of dimension above DIM_MAX."""
-    if dim > DIM_MAX:
-        raise BudgetExceededError(
-            0, DIM_MAX, f"{label} dimension {dim} exceeds the supported maximum {DIM_MAX}"
-        )
 
 
 def projective_space_class(n):
     """[P^n] = 1 + L + ... + L^n, for n up to DIM_MAX."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParameterError(f"projective space dimension must be >= 0, got {n!r}")
-    _check_dim_cap(n, "projective space")
+    check_cap(n, DIM_MAX, "projective space dimension")
     return VarietyClass(name=f"P^{n}", dim=n, cls=LPolynomial.sum_of_powers(0, n))
 
 
@@ -255,7 +248,7 @@ def quadric_class(d):
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise InvalidParameterError(f"quadric dimension must be >= 1, got {d!r}")
-    _check_dim_cap(d, "quadric")
+    check_cap(d, DIM_MAX, "quadric dimension")
     cls = LPolynomial.sum_of_powers(0, d)
     if d % 2 == 0:
         cls = cls + LPolynomial.lefschetz(d // 2)
@@ -276,7 +269,7 @@ def grassmannian_class(r, m):
     if not 0 <= r <= m:
         raise InvalidParameterError(f"need 0 <= r <= m, got r={r}, m={m}")
     dim = r * (m - r)
-    _check_dim_cap(dim, "Grassmannian")
+    check_cap(dim, DIM_MAX, "Grassmannian dimension")
     return VarietyClass(name=f"Gr({r},{m})", dim=dim, cls=_gauss_binomial(m, r))
 
 
@@ -312,10 +305,7 @@ def flag_class_typeA(m):
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InvalidParameterError(f"m must be a positive integer, got {m!r}")
-    if m > FLAG_MAX:
-        raise BudgetExceededError(
-            0, FLAG_MAX, f"flag rank {m} exceeds the supported maximum {FLAG_MAX}"
-        )
+    check_cap(m, FLAG_MAX, "flag rank")
     product = LPolynomial.one()
     for i in range(1, m):
         product = product * LPolynomial.sum_of_powers(0, i)
@@ -383,7 +373,7 @@ def construction_one_class(y, center="frobenius-graph"):
         raise InvalidParameterError(
             f"degenerate: center codimension {y.dim} < 2 (need dim y >= 2)"
         )
-    _check_dim_cap(2 * y.dim, "construction-one")
+    check_cap(2 * y.dim, DIM_MAX, "construction-one dimension")
     product = VarietyClass(name=f"{y.name} x {y.name}", dim=2 * y.dim, cls=y.cls * y.cls)
     tag = "graph" if center == "frobenius-graph" else "diagonal"
     center_cls = VarietyClass(name=f"{tag}[{y.name}]", dim=y.dim, cls=y.cls)
@@ -496,9 +486,7 @@ class InvariantsTable:
 
     The Hodge table is diagonal (h^{i,i} = b_{2i}) because every in-scope
     space is cellular, so only the Betti numbers are stored and `hodge`
-    builds the dense (dim+1) x (dim+1) table on demand.  The de Rham flag
-    compares the sum of the Betti numbers with the sum of the class
-    coefficients, the Hodge diagonal.
+    builds the dense (dim+1) x (dim+1) table on demand.
     """
 
     dim: int
@@ -507,7 +495,15 @@ class InvariantsTable:
     euler: int
     palindromic: bool
     nonnegative: bool
-    hodge_de_rham_sum_equal: bool
+
+    @property
+    def hodge_de_rham_sum_equal(self):
+        """True for every cellular class, so it is not computed.
+
+        Both sums count the cells: the Betti numbers b_{2i} and the Hodge
+        diagonal h^{i,i} are each the coefficient of L^i in the class.
+        """
+        return True
 
     @property
     def hodge(self):
@@ -530,6 +526,8 @@ class InvariantsTable:
 
     @classmethod
     def from_json(cls, doc):
+        if doc["hodge_de_rham_sum_equal"] is not True:
+            raise InvalidParameterError("hodge_de_rham_sum_equal is true for every cellular class")
         return cls(
             dim=doc["dim"],
             betti=tuple(int(b) for b in doc["betti"]),
@@ -537,7 +535,6 @@ class InvariantsTable:
             euler=int(doc["euler"]),
             palindromic=doc["palindromic"],
             nonnegative=doc["nonnegative"],
-            hodge_de_rham_sum_equal=doc["hodge_de_rham_sum_equal"],
         )
 
 
@@ -563,8 +560,6 @@ def invariants_table(v):
     euler = v.cls(1)
     palindromic = v.cls.is_palindromic(d)
     nonnegative = all(c >= 0 for c in v.cls.coeffs)
-    betti_total = sum(betti)
-    hodge_total = sum(v.cls.coeff(i) for i in range(d + 1))
     return InvariantsTable(
         dim=d,
         betti=betti,
@@ -572,5 +567,4 @@ def invariants_table(v):
         euler=euler,
         palindromic=palindromic,
         nonnegative=nonnegative,
-        hodge_de_rham_sum_equal=(betti_total == hodge_total),
     )

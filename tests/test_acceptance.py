@@ -223,19 +223,21 @@ def _normalization_exhaustive():
     ]
     for ring in rings:
         assert ring.size <= 16
-        units = [r for r in ring.reps() if ring.unit_rep(r)]
+        units = [e for e in ring.elements() if e.is_unit]
         no_unit = 0
-        for vec in itertools.product(ring.reps(), repeat=3):
-            if not any(ring.unit_rep(c) for c in vec):
+        for vec in itertools.product(ring.elements(), repeat=3):
+            if not any(c.is_unit for c in vec):
                 no_unit += 1
                 continue
-            pt = ProjPointA(ring, vec)
-            # idempotent, and invariant under every unit rescaling
+            pt = ProjPointA(ring, [c.rep for c in vec])
+            # raw and element coordinates agree; idempotent, and invariant
+            # under every unit rescaling
+            assert ProjPointA(ring, vec) == pt
             assert ProjPointA(ring, pt.coords) == pt
             first_unit = next(c for c in pt.coords if c.is_unit)
             assert first_unit == ring.one
             for u in units:
-                scaled = [ring.mul_rep(u, c) for c in vec]
+                scaled = [u * c for c in vec]
                 assert ProjPointA(ring, scaled) == pt
         assert no_unit == (ring.size // ring.p) ** 3
 

@@ -293,6 +293,12 @@ def test_usage_errors_exit_1(capsys):
         ("motive", "quadric", "--dim", "2501"),
         ("motive", "construction-one", "--space", "ps:1251"),
         ("motive", "quadric", "--dim", "0"),
+        ("lift", "brute", "--p", "101"),
+        ("lift", "check", "--p", "101"),
+        ("lift", "brute", "--p", "3", "--ring", "zpk:5"),
+        ("lift", "propagate", "--p", "5003"),
+        ("lift", "propagate", "--p", "2", "--ring", "zpk:9"),
+        ("lift", "propagate", "--p", "2", "--ring", "fpt:1000000000000"),
     ]
     for args in cases:
         code, _, err = run(capsys, *args)

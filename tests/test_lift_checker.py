@@ -31,6 +31,8 @@ from nonlift import (
     search_over_all_frames,
     trivial_lift_map,
 )
+from nonlift.lift_checker import LIFTS_MAX, PLANE_P_MAX, PROPAGATE_P_MAX
+from nonlift.local_ring import K_MAX
 
 Z4 = ring_make("zpk", 2, 2)
 F2T = ring_make("fpt", 2, 2)
@@ -320,6 +322,56 @@ def test_certificate_parse_rejects_tampering():
         certificate_parse(bad)
 
 
+def _with_step2(doc, **fields):
+    steps = [dict(step) for step in doc["steps"]]
+    steps[1].update(fields)
+    return dict(doc, steps=steps)
+
+
+def _forgeries(doc, ring):
+    """Single-field forgeries of a certificate, each otherwise self-consistent."""
+    ideal = ring.p_one if ring.kind == "zpk" else ring.elem((0, 1))
+
+    def plus_ideal(c):
+        return (ring.elem(c) + ideal).to_json()
+
+    derived = doc["steps"][1]["derived"]
+    dual = doc["steps"][1]["line1"]["dual"]
+    other = ring.p_one + 1
+    flipped = VERDICT_OPEN if doc["verdict"] == VERDICT_BLOCKED else VERDICT_BLOCKED
+    return [
+        # same residue as the target, but not the meet of the two lines
+        _with_step2(doc, derived=derived[:2] + [plus_ideal(derived[2])]),
+        _with_step2(doc, line1={"dual": dual[:2] + [plus_ideal(dual[2])]}),
+        _with_step2(doc, target=[1, 1, 1]),
+        dict(doc, obstruction={"element": other.to_json(), "isZero": False},
+             verdict=VERDICT_BLOCKED),
+        dict(doc, verdict=flipped),
+    ]
+
+
+def test_certificate_parse_rejects_forgeries():
+    cases = []
+    for p in (2, 3):
+        for kind in ("zpk", "fpt"):
+            ring = ring_make(kind, p, 2)
+            doc = certificate_json(*propagate_forced_lift(p, ring))
+            certificate_parse(doc)
+            cases += _forgeries(doc, ring)
+    # the forgeries first reproduced on a p=3 certificate over Z/9
+    doc = certificate_json(*propagate_forced_lift(3, ring_make("zpk", 3, 2)))
+    cases += [
+        _with_step2(doc, derived=[1, 5, 7]),
+        _with_step2(doc, line1={"dual": [1, 1, 1]}),
+        _with_step2(doc, line1=doc["steps"][1]["line2"]),  # no unique meet
+        dict(doc, obstruction={"element": 6, "isZero": False}),
+        dict(doc, verdict=VERDICT_OPEN),
+    ]
+    for bad in cases:
+        with pytest.raises(InvalidParameterError):
+            certificate_parse(bad)
+
+
 def test_certificate_text_render():
     trace, obstruction = propagate_forced_lift(2, Z4)
     text = certificate_render(trace, obstruction, format="text")
@@ -337,6 +389,26 @@ def test_certificate_render_deterministic():
     first = certificate_render(*propagate_forced_lift(3, ring_make("zpk", 3, 2)), format="json")
     second = certificate_render(*propagate_forced_lift(3, ring_make("zpk", 3, 2)), format="json")
     assert first == second
+
+
+def test_size_caps():
+    # each cap refuses before anything is enumerated
+    for call in (
+        lambda: brute_force_lift_search(17, ring_make("zpk", 17, 1), budget=1),
+        lambda: brute_force_lift_search(3, ring_make("zpk", 3, 5), budget=1),
+        lambda: trivial_lift_map(17, ring_make("zpk", 17, 2)),
+        lambda: check_collinearity_preserving({}, 17, ring_make("zpk", 17, 2)),
+        lambda: propagate_forced_lift(5003, ring_make("zpk", 5003, 2)),
+        lambda: ring_make("fpt", 2, K_MAX + 1),
+    ):
+        with pytest.raises(BudgetExceededError, match="exceeds the supported maximum"):
+            call()
+    # and sits above the sizes the tests and the benchmark run
+    assert (PLANE_P_MAX, PROPAGATE_P_MAX, K_MAX) == (13, 5000, 8)
+    assert (3**2 + 3 - 3) * 3 ** (2 * 3) <= LIFTS_MAX  # p = 3, k = 4
+    with pytest.raises(BudgetExceededError, match="search budget exceeded"):
+        brute_force_lift_search(3, ring_make("zpk", 3, 4), budget=1)
+    assert len(trivial_lift_map(13, ring_make("zpk", 13, 2))) == 13**2 + 13 + 1
 
 
 def test_propagate_validation():

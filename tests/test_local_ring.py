@@ -112,7 +112,7 @@ def test_lifts_of_residue():
         assert sorted(union) == sorted(ring.reps())
         for r in range(ring.p):
             for rep in ring.lifts_of_residue(r):
-                assert ring.residue_rep(rep) == r
+                assert ring.elem(rep).residue == r
 
 
 def test_elem_arithmetic_zpk():
@@ -124,6 +124,25 @@ def test_elem_arithmetic_zpk():
     assert (1 + a).rep == 5
     assert (2 * b).rep == 5
     assert a.inverse().rep == 7
+
+
+def test_elem_coercion():
+    # equal rings built separately combine; the result lives in the left ring
+    a, b = ring_make("zpk", 3, 2), ring_make("zpk", 3, 2)
+    assert a is not b
+    total = a.elem(4) + b.elem(7)
+    assert total == a.elem(2) and total.ring is a
+    assert (b.elem(4) * a.elem(7)).rep == 1
+    with pytest.raises(InvalidParameterError):
+        Z4.elem(1) + Z9.elem(1)
+    with pytest.raises(InvalidParameterError):
+        F3T.elem(1) * Z9.elem(1)
+    with pytest.raises(TypeError):
+        Z9.elem(1) + True
+    with pytest.raises(TypeError):
+        True - Z9.elem(1)
+    assert (5 - Z9.elem(7)).rep == 7
+    assert (Z9.elem(7) - 5).rep == 2
 
 
 def test_elem_arithmetic_fpt():
@@ -147,7 +166,7 @@ def test_elem_str():
 
 def test_elements_sorted():
     for ring in (Z4, Z9, F2T, F3T):
-        keys = [e.sort_key() for e in ring.elements()]
+        keys = [e.rep for e in ring.elements()]
         assert keys == sorted(keys)
         assert len(set(keys)) == ring.size
 
@@ -220,7 +239,7 @@ def test_enumerate_lifts_counts_and_order():
         for x in enumerate_points(2, p):
             lifts = enumerate_lifts(x, ring)
             assert len(lifts) == ring.p ** (2 * (ring.k - 1))
-            keys = [q.sort_key() for q in lifts]
+            keys = [tuple(c.rep for c in q.coords) for q in lifts]
             assert keys == sorted(keys)
             for q in lifts:
                 assert q.reduce() == x
@@ -232,8 +251,8 @@ def test_enumerate_lifts_partition_oracle():
     # every canonical point of the lifted plane appears in exactly one fiber
     for ring in (Z4, F2T):
         seen = set()
-        for vec in itertools.product(ring.reps(), repeat=3):
-            if any(ring.unit_rep(c) for c in vec):
+        for vec in itertools.product(ring.elements(), repeat=3):
+            if any(c.is_unit for c in vec):
                 seen.add(ProjPointA(ring, vec))
         assert len(seen) == 28
         fibers = []

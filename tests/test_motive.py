@@ -400,6 +400,18 @@ def test_invariants_json_round_trip():
     assert InvariantsTable.from_json(doc) == tab
 
 
+def test_invariants_de_rham_flag_is_not_stored():
+    # the flag holds for every cellular class, so it is a property, and a
+    # document claiming otherwise is refused
+    tab = invariants_table(construction_two_class(3))
+    assert "hodge_de_rham_sum_equal" not in vars(tab)
+    assert tab.to_json()["hodge_de_rham_sum_equal"] is True
+    for flag in (False, None, 1, "true"):
+        doc = dict(tab.to_json(), hodge_de_rham_sum_equal=flag)
+        with pytest.raises(InvalidParameterError):
+            InvariantsTable.from_json(doc)
+
+
 def test_all_builtin_classes_palindromic_nonnegative():
     builtins = [
         projective_space_class(3),
