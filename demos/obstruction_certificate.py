@@ -25,14 +25,14 @@ from nonlift import (
 def main():
     for kind, p in (("zpk", 2), ("zpk", 3), ("fpt", 3)):
         ring = ring_make(kind, p, 2)
-        trace, obstruction = propagate_forced_lift(p, ring)
+        trace, obstruction = propagate_forced_lift(ring)
         print(f"=== p = {p} over {ring} ===")
         print(certificate_render(trace, obstruction, format="text"))
         print()
 
     print("=== the certificate round-trips through JSON ===")
     ring = ring_make("zpk", 5, 2)
-    trace, obstruction = propagate_forced_lift(5, ring)
+    trace, obstruction = propagate_forced_lift(ring)
     doc = certificate_json(trace, obstruction)
     wire = json.dumps(doc)
     trace2, obstruction2 = certificate_parse(json.loads(wire))

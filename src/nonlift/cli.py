@@ -189,7 +189,7 @@ def _run_geom(args):
     return ", ".join(parts), 0
 
 
-def _parse_map_file(path, p, ring):
+def _parse_map_file(path, ring):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -200,7 +200,7 @@ def _parse_map_file(path, p, ring):
     mapping = {}
     try:
         for entry in doc["assignments"]:
-            mapping[ProjPointFp(entry["point"], p)] = ProjPointA(ring, entry["image"])
+            mapping[ProjPointFp(entry["point"], ring.p)] = ProjPointA(ring, entry["image"])
     except (KeyError, TypeError) as exc:
         raise _UsageError(
             "map file must be a JSON object with an 'assignments' list "
@@ -213,15 +213,15 @@ def _run_lift(args):
     fmt = lift_checker._fmt_point
     ring = parse_ring_spec(args.ring, args.p)
     if args.command == "propagate":
-        trace, obstruction = lift_checker.propagate_forced_lift(args.p, ring)
+        trace, obstruction = lift_checker.propagate_forced_lift(ring)
         text = lift_checker.certificate_render(trace, obstruction, format=args.format)
         code = 2 if obstruction.verdict == lift_checker.VERDICT_BLOCKED else 0
         return text, code
     if args.command == "brute":
-        result = lift_checker.brute_force_lift_search(args.p, ring, budget=args.budget)
+        result = lift_checker.brute_force_lift_search(ring, budget=args.budget)
         if args.format == JSON:
             doc = {
-                "p": args.p,
+                "p": ring.p,
                 "ring": ring.to_json(),
                 "frame": "standard",
                 "budget": result.budget,
@@ -249,13 +249,13 @@ def _run_lift(args):
         return "\n".join(lines), 0
     # check
     if args.map_file:
-        mapping = _parse_map_file(args.map_file, args.p, ring)
+        mapping = _parse_map_file(args.map_file, ring)
     else:
-        mapping = lift_checker.trivial_lift_map(args.p, ring)
-    violations = lift_checker.check_collinearity_preserving(mapping, args.p, ring)
+        mapping = lift_checker.trivial_lift_map(ring)
+    violations = lift_checker.check_collinearity_preserving(mapping, ring)
     if args.format == JSON:
         doc = {
-            "p": args.p,
+            "p": ring.p,
             "ring": ring.to_json(),
             "count": len(violations),
             "violations": [

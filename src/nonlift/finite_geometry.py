@@ -21,17 +21,20 @@ from .errors import (
     DegenerateSpanError,
     InvalidParameterError,
     UnsupportedDimensionError,
+    check_cap,
 )
 
 MAX_DIM = 3
+P_MAX = 2**40  # trial division takes about 0.3 s at the cap
 
 
 def check_prime(p):
-    """Validate p by trial division and return it unchanged."""
+    """Validate p (at most P_MAX) by trial division and return it unchanged."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise InvalidParameterError(f"p must be an integer, got {p!r}")
     if p < 2:
         raise InvalidParameterError(f"p must be a prime >= 2, got {p}")
+    check_cap(p, P_MAX, "prime p")
     d = 2
     while d * d <= p:
         if p % d == 0:

@@ -16,6 +16,8 @@ exists, and the recorded trace is a replayable certificate of that.
 The brute-force search below is the independent oracle: it enumerates every
 frame-fixing assignment of lifts outright, pruning on violated collinear
 triples, and must agree with the propagation verdict.
+
+Every entry point takes the coefficient ring alone and reads p off it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .errors import (
 from .finite_geometry import (
     IncidenceConfig,
     ProjPointFp,
-    check_prime,
     enumerate_lines,
     enumerate_points,
     line_from_dual,
@@ -55,9 +56,10 @@ VERDICT_OPEN = "liftable-not-excluded"
 
 # Size caps, checked before anything is enumerated.  The search and the
 # collinearity check first list all (p^2+p+1)·C(p+1,3) collinear triples of
-# P^2(F_p), 66,612 at p = 13; the search also builds the lifts of every
-# free point, (p^2+p-3)·p^(2(k-1)) points, up front; propagation stores 2p
-# steps.  The ring length is capped by local_ring.K_MAX.
+# P^2(F_p), 66,612 at p = 13; the search also builds its lifts up front:
+# (p^2+p-3)·p^(2(k-1)) + 4 with the standard frame, (p^2+p+1)·p^(2(k-1))
+# over every frame; propagation stores 2p steps.  The ring length is capped
+# by local_ring.K_MAX.
 PLANE_P_MAX = 13
 LIFTS_MAX = 50_000
 PROPAGATE_P_MAX = 5000
@@ -115,10 +117,13 @@ class DerivationStep:
 class PropagationTrace:
     """The full forced chain, ending in the step that closes the loop."""
 
-    p: int
     ring: LocalRing
     frame: Frame
     steps: tuple
+
+    @property
+    def p(self):
+        return self.ring.p
 
     def pinned_points(self):
         """Every residue point whose image the trace pinned, sorted."""
@@ -150,8 +155,8 @@ class Obstruction:
         return self.element.is_zero
 
 
-def propagate_forced_lift(p, ring):
-    """Run the forced chain over the given ring with the standard frame.
+def propagate_forced_lift(ring):
+    """Run the forced chain over the ring (p = ring.p) with the standard frame.
 
     Returns (trace, obstruction).  Every join and meet along the way is
     well-defined (distinct residues); this is asserted at each step, as is
@@ -159,13 +164,9 @@ def propagate_forced_lift(p, ring):
     (n*1 : 0 : 1) and the n-th diagonal point at ((n+1)*1 : 1 : 1),
     projectively.
     """
-    check_prime(p)
     if not isinstance(ring, LocalRing):
         raise InvalidParameterError("propagate_forced_lift expects a LocalRing")
-    if ring.p != p:
-        raise InvalidParameterError(
-            f"residue characteristic mismatch: p={p} but ring {ring} has p={ring.p}"
-        )
+    p = ring.p
     check_cap(p, PROPAGATE_P_MAX, "prime p")
     frame = Frame.standard(ring)
     e0_img, e1_img, e2_img, unit_img = frame.images
@@ -220,7 +221,7 @@ def propagate_forced_lift(p, ring):
         required=e2_img,
         verdict=VERDICT_OPEN if element.is_zero else VERDICT_BLOCKED,
     )
-    trace = PropagationTrace(p=p, ring=ring, frame=frame, steps=tuple(steps))
+    trace = PropagationTrace(ring=ring, frame=frame, steps=tuple(steps))
     return trace, obstruction
 
 
@@ -245,7 +246,7 @@ def _images_collinear(a, b, c):
         return True  # one shared residue: vacuously accepted
 
 
-def check_collinearity_preserving(mapping, p, ring):
+def check_collinearity_preserving(mapping, ring):
     """All collinear triples whose images fail the determinant test.
 
     `mapping` must assign a point of P^2(A) to every point of P^2(F_p).
@@ -253,7 +254,7 @@ def check_collinearity_preserving(mapping, p, ring):
     Returns the violating triples; an empty tuple means the map preserves
     collinearity.
     """
-    check_prime(p)
+    p = ring.p
     check_cap(p, PLANE_P_MAX, "prime p")
     points = enumerate_points(2, p)
     for pt in points:
@@ -269,9 +270,9 @@ def check_collinearity_preserving(mapping, p, ring):
     return tuple(violations)
 
 
-def trivial_lift_map(p, ring):
+def trivial_lift_map(ring):
     """The coordinate-wise lift: each canonical F_p coordinate re-read in A."""
-    check_prime(p)
+    p = ring.p
     check_cap(p, PLANE_P_MAX, "prime p")
     return {pt: ProjPointA(ring, pt.coords) for pt in enumerate_points(2, p)}
 
@@ -284,45 +285,29 @@ class SearchResult:
     nodes_explored: int
     budget: int
 
-    def __len__(self):
-        return len(self.maps)
-
-    def __iter__(self):
-        return iter(self.maps)
-
 
 DEFAULT_BUDGET = 10**7
 
 
-def brute_force_lift_search(p, ring, frame=None, budget=DEFAULT_BUDGET):
-    """Exhaustive search over all frame-fixing lift assignments.
-
-    Walks the non-frame points in lexicographic order; candidates for each
-    point are its lifts in ascending order.  After every assignment all
-    newly-completed collinear triples are checked, so dead branches die at
-    the first violated triple.  Every explored candidate counts one node
-    against the budget.
+def _search(ring, budget, every_frame):
+    """The free-point walk, run once per anchor-image tuple: the standard
+    frame, or with `every_frame` each tuple of the anchors' lifts.  Triples
+    and free-point lifts are built once; anchor choices count no nodes, and
+    `budget` bounds the total over all frames.  Returns (maps, nodes).
     """
-    check_prime(p)
-    if ring.p != p:
-        raise InvalidParameterError(
-            f"residue characteristic mismatch: p={p} but ring {ring} has p={ring.p}"
-        )
+    p = ring.p
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise InvalidParameterError(f"budget must be a positive integer, got {budget!r}")
     check_cap(p, PLANE_P_MAX, "prime p")
-    check_cap((p * p + p - 3) * p ** (2 * (ring.k - 1)), LIFTS_MAX, "lift count")
-    if frame is None:
-        frame = Frame.standard(ring)
-    elif frame.ring != ring:
-        raise InvalidParameterError("frame ring differs from search ring")
+    per_point = p ** (2 * (ring.k - 1))
+    anchor_lifts = 4 * (per_point if every_frame else 1)
+    check_cap((p * p + p - 3) * per_point + anchor_lifts, LIFTS_MAX, "lift count")
 
     # the plane has p^2+p+1 >= 7 points and the frame fixes 4, so `free`
     # is never empty
-    points = enumerate_points(2, p)
-    assignment = frame.assignment()
-    free = [pt for pt in points if pt not in assignment]
-    rank = {pt: -1 for pt in assignment}
+    anchors = frame_anchors(p)
+    free = [pt for pt in enumerate_points(2, p) if pt not in anchors]
+    rank = {pt: -1 for pt in anchors}
     rank.update({pt: m for m, pt in enumerate(free)})
     completed = [[] for _ in free]
     for triple in collinear_triples(p):
@@ -330,7 +315,12 @@ def brute_force_lift_search(p, ring, frame=None, budget=DEFAULT_BUDGET):
         if r >= 0:
             completed[r].append(triple)
     lifts = [enumerate_lifts(pt, ring) for pt in free]
+    if every_frame:
+        frames = itertools.product(*(enumerate_lifts(a, ring) for a in anchors))
+    else:
+        frames = (Frame.standard(ring).images,)
 
+    assignment = {}
     found = []
     nodes = 0
 
@@ -338,7 +328,7 @@ def brute_force_lift_search(p, ring, frame=None, budget=DEFAULT_BUDGET):
         nonlocal nodes
         if m == len(free):
             final = dict(assignment)
-            assert not check_collinearity_preserving(final, p, ring)
+            assert not check_collinearity_preserving(final, ring)
             found.append(final)
             return
         pt = free[m]
@@ -354,31 +344,33 @@ def brute_force_lift_search(p, ring, frame=None, budget=DEFAULT_BUDGET):
                 extend(m + 1)
         assignment.pop(pt, None)
 
-    extend(0)
-    return SearchResult(maps=tuple(found), nodes_explored=nodes, budget=budget)
+    for images in frames:
+        assignment.update(zip(anchors, images))
+        extend(0)
+    return tuple(found), nodes
 
 
-def search_over_all_frames(p, ring, budget=DEFAULT_BUDGET):
-    """Spot check: rerun the search for every choice of frame anchor lifts.
+def brute_force_lift_search(ring, budget=DEFAULT_BUDGET):
+    """Exhaustive search over all frame-fixing lift assignments.
 
-    Returns (maps, nodes) aggregated over all frames.  Desk scale only; at
-    p=2 over Z/4 this is 4^4 frames of at most 4^3 assignments each.
+    Walks the non-frame points in lexicographic order; candidates for each
+    point are its lifts in ascending order.  After every assignment all
+    newly-completed collinear triples are checked, so dead branches die at
+    the first violated triple.  Every explored candidate counts one node
+    against the budget.
     """
-    check_prime(p)
-    anchors = frame_anchors(p)
-    all_maps = []
-    total_nodes = 0
-    options = [enumerate_lifts(a, ring) for a in anchors]
-    for images in itertools.product(*options):
-        if total_nodes >= budget:
-            raise BudgetExceededError(total_nodes, budget)
-        frame = Frame(ring=ring, images=tuple(images))
-        result = brute_force_lift_search(
-            p, ring, frame=frame, budget=budget - total_nodes
-        )
-        all_maps.extend(result.maps)
-        total_nodes += result.nodes_explored
-    return tuple(all_maps), total_nodes
+    maps, nodes = _search(ring, budget, every_frame=False)
+    return SearchResult(maps=maps, nodes_explored=nodes, budget=budget)
+
+
+def search_over_all_frames(ring, budget=DEFAULT_BUDGET):
+    """Spot check: the same search for every choice of frame anchor lifts.
+
+    Returns (maps, nodes) aggregated over all frames; `budget` bounds the
+    total, and anchor choices count no nodes.  Desk scale only; at p=2 over
+    Z/4 this is 4^4 frames of at most 4^3 assignments each.
+    """
+    return _search(ring, budget, every_frame=True)
 
 
 def extract_used_configuration(trace):
@@ -438,8 +430,10 @@ def certificate_parse(doc):
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    p = check_prime(doc["p"])
     ring = LocalRing.from_json(doc["ring"])
+    p = ring.p
+    if not isinstance(doc["p"], int) or doc["p"] != p:
+        raise InvalidParameterError(f"certificate p {doc['p']!r} differs from its ring's p {p}")
     if doc.get("frame") != "standard":
         raise InvalidParameterError(f"unknown frame tag {doc.get('frame')!r}")
     frame = Frame.standard(ring)
@@ -477,7 +471,7 @@ def certificate_parse(doc):
         required=frame.images[2],
         verdict=verdict,
     )
-    trace = PropagationTrace(p=p, ring=ring, frame=frame, steps=tuple(steps))
+    trace = PropagationTrace(ring=ring, frame=frame, steps=tuple(steps))
     return trace, obstruction
 
 

@@ -77,14 +77,14 @@ def test_criterion_2_propagation_verdicts(capfd):
     def body():
         for p in PRIMES_PROP:
             ring = ring_make("zpk", p, 2)
-            _, obstruction = propagate_forced_lift(p, ring)
+            _, obstruction = propagate_forced_lift(ring)
             assert obstruction.verdict == VERDICT_BLOCKED
             assert obstruction.element == ring.p_one
             assert obstruction.element.rep == p
             assert not obstruction.is_zero
         for p in PRIMES_PROP:
             for ring in (ring_make("zpk", p, 1), ring_make("fpt", p, 2)):
-                _, obstruction = propagate_forced_lift(p, ring)
+                _, obstruction = propagate_forced_lift(ring)
                 assert obstruction.verdict == VERDICT_OPEN
                 assert obstruction.is_zero
 
@@ -93,13 +93,13 @@ def test_criterion_2_propagation_verdicts(capfd):
 
 def test_criterion_3_exhaustive_searches(capfd):
     def body():
-        assert len(brute_force_lift_search(2, ring_make("zpk", 2, 2)).maps) == 0
-        assert len(brute_force_lift_search(3, ring_make("zpk", 3, 2)).maps) == 0
+        assert len(brute_force_lift_search(ring_make("zpk", 2, 2)).maps) == 0
+        assert len(brute_force_lift_search(ring_make("zpk", 3, 2)).maps) == 0
         for p in (2, 3):
             ring = ring_make("fpt", p, 2)
-            result = brute_force_lift_search(p, ring)
+            result = brute_force_lift_search(ring)
             assert len(result.maps) == 1
-            assert dict(result.maps[0]) == trivial_lift_map(p, ring)
+            assert dict(result.maps[0]) == trivial_lift_map(ring)
 
     _run(capfd, 3, "searches find no lift over length-two Witt rings, one over t-rings", 60, body)
 
@@ -107,7 +107,7 @@ def test_criterion_3_exhaustive_searches(capfd):
 def test_criterion_4_extracted_configuration(capfd):
     def body():
         for p in (2, 3, 5):
-            trace, _ = propagate_forced_lift(p, ring_make("zpk", p, 2))
+            trace, _ = propagate_forced_lift(ring_make("zpk", p, 2))
             used = extract_used_configuration(trace)
             mp = mp_configuration(p)
             assert used.points == mp.points
@@ -277,6 +277,6 @@ def test_criterion_9_property_suites(capfd):
 def test_trivial_lift_audit():
     # standing cross-check behind criteria 2 and 3
     z4 = ring_make("zpk", 2, 2)
-    assert len(check_collinearity_preserving(trivial_lift_map(2, z4), 2, z4)) == 1
+    assert len(check_collinearity_preserving(trivial_lift_map(z4), z4)) == 1
     f2t = ring_make("fpt", 2, 2)
-    assert check_collinearity_preserving(trivial_lift_map(2, f2t), 2, f2t) == ()
+    assert check_collinearity_preserving(trivial_lift_map(f2t), f2t) == ()

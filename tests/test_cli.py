@@ -299,6 +299,8 @@ def test_usage_errors_exit_1(capsys):
         ("lift", "propagate", "--p", "5003"),
         ("lift", "propagate", "--p", "2", "--ring", "zpk:9"),
         ("lift", "propagate", "--p", "2", "--ring", "fpt:1000000000000"),
+        ("lift", "propagate", "--p", "2305843009213693951"),
+        ("geom", "count", "--dim", "2", "--p", "2305843009213693951"),
     ]
     for args in cases:
         code, _, err = run(capsys, *args)

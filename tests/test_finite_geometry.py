@@ -6,10 +6,12 @@ tests so a regression shows both sides.
 """
 
 import itertools
+import time
 
 import pytest
 
 from nonlift import (
+    BudgetExceededError,
     DegenerateSpanError,
     IncidenceConfig,
     InvalidParameterError,
@@ -27,6 +29,7 @@ from nonlift import (
     line_through,
     mp_configuration,
 )
+from nonlift.finite_geometry import P_MAX
 
 POINT_COUNTS = {
     (2, 2): 7,
@@ -119,6 +122,15 @@ def test_check_prime():
     for bad in (-2, 0, 1, 4, 6, 9, 15):
         with pytest.raises(InvalidParameterError):
             check_prime(bad)
+    # trial division stays bounded: a prime just below P_MAX passes, and
+    # anything above it, prime or not, is refused before any division
+    assert P_MAX == 2**40
+    assert check_prime(2**40 - 87) == 2**40 - 87
+    for big in (P_MAX + 1, 2**61 - 1):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="exceeds the supported maximum"):
+            check_prime(big)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_point_counts_match_formula_and_each_other():

@@ -5,6 +5,8 @@ counts, node totals and verdicts.  The search results double as the
 independent oracle for the propagation verdicts.
 """
 
+import time
+
 import pytest
 
 from nonlift import (
@@ -85,7 +87,7 @@ def test_nonstandard_frame_accepted():
 
 
 def test_propagation_worked_chain_z4():
-    trace, obstruction = propagate_forced_lift(2, Z4)
+    trace, obstruction = propagate_forced_lift(Z4)
     assert len(trace.steps) == 4
     expected = [
         # (target, dual of line1, dual of line2, derived image)
@@ -109,7 +111,7 @@ def test_propagation_worked_chain_z4():
 def test_propagation_blocked_when_p_survives():
     for p in (2, 3, 5, 7, 11, 13):
         ring = ring_make("zpk", p, 2)
-        trace, obstruction = propagate_forced_lift(p, ring)
+        trace, obstruction = propagate_forced_lift(ring)
         assert obstruction.verdict == VERDICT_BLOCKED
         assert obstruction.element == ring.p_one
         assert obstruction.element.rep == p
@@ -119,7 +121,7 @@ def test_propagation_blocked_when_p_survives():
 def test_propagation_open_when_p_vanishes():
     for p in (2, 3, 5, 7):
         for ring in (ring_make("fpt", p, 2), ring_make("zpk", p, 1)):
-            trace, obstruction = propagate_forced_lift(p, ring)
+            trace, obstruction = propagate_forced_lift(ring)
             assert obstruction.verdict == VERDICT_OPEN
             assert obstruction.is_zero
             assert obstruction.derived == obstruction.required
@@ -129,7 +131,7 @@ def test_derived_coordinate_law():
     # axis points land on (n:0:1) and diagonal points on (n+1:1:1)
     for p, kind in [(3, "zpk"), (5, "zpk"), (3, "fpt")]:
         ring = ring_make(kind, p, 2)
-        trace, _ = propagate_forced_lift(p, ring)
+        trace, _ = propagate_forced_lift(ring)
         for n in range(1, p):
             axis = trace.steps[2 * n - 1]
             diag = trace.steps[2 * n]
@@ -144,14 +146,14 @@ def test_derived_coordinate_law():
 
 def test_pinned_points_match_mp_configuration():
     for p in (2, 3, 5, 7):
-        trace, _ = propagate_forced_lift(p, ring_make("zpk", p, 2))
+        trace, _ = propagate_forced_lift(ring_make("zpk", p, 2))
         pinned = trace.pinned_points()
         assert len(pinned) == 2 * p + 3
         assert pinned == mp_configuration(p).points
 
 
 def test_assignment_keeps_frame_value_for_closing_target():
-    trace, _ = propagate_forced_lift(2, Z4)
+    trace, _ = propagate_forced_lift(Z4)
     assignment = trace.assignment()
     assert set(assignment) == set(trace.pinned_points())
     assert reps(assignment[ProjPointFp((0, 0, 1), 2)]) == (0, 0, 1)
@@ -168,20 +170,20 @@ def test_collinear_triples_fano():
 
 
 def test_trivial_lift_violations():
-    violations = check_collinearity_preserving(trivial_lift_map(2, Z4), 2, Z4)
+    violations = check_collinearity_preserving(trivial_lift_map(Z4), Z4)
     assert violations == (tuple(sorted(FANO_TRIPLE)),)
-    assert check_collinearity_preserving(trivial_lift_map(2, F2T), 2, F2T) == ()
-    assert check_collinearity_preserving(trivial_lift_map(3, ring_make("fpt", 3, 2)), 3, ring_make("fpt", 3, 2)) == ()
+    assert check_collinearity_preserving(trivial_lift_map(F2T), F2T) == ()
+    assert check_collinearity_preserving(trivial_lift_map(ring_make("fpt", 3, 2)), ring_make("fpt", 3, 2)) == ()
 
 
 def test_check_accepts_triple_with_one_shared_residue():
     # send the line x = 0 of the Fano plane to three lifts of (0:0:1); the
     # determinant test cannot decide that triple, so it is accepted
     triple = (ProjPointFp((0, 0, 1), 2), ProjPointFp((0, 1, 0), 2), ProjPointFp((0, 1, 1), 2))
-    mapping = trivial_lift_map(2, Z4)
+    mapping = trivial_lift_map(Z4)
     for pt, image in zip(triple, ((0, 0, 1), (0, 2, 1), (2, 0, 1))):
         mapping[pt] = ProjPointA(Z4, image)
-    violations = check_collinearity_preserving(mapping, 2, Z4)
+    violations = check_collinearity_preserving(mapping, Z4)
     assert triple in collinear_triples(2)
     assert triple not in violations
     # the moved images of (0:1:0) and (0:1:1) break the other lines through them
@@ -197,16 +199,16 @@ def test_check_accepts_triple_with_one_shared_residue():
 
 
 def test_check_requires_total_map():
-    mapping = trivial_lift_map(2, Z4)
+    mapping = trivial_lift_map(Z4)
     mapping.pop(ProjPointFp((1, 1, 1), 2))
     with pytest.raises(MissingAssignmentError):
-        check_collinearity_preserving(mapping, 2, Z4)
+        check_collinearity_preserving(mapping, Z4)
 
 
 def test_search_frozen_results():
     for (p, kind), (count, nodes) in SEARCH_RESULTS.items():
         ring = ring_make(kind, p, 2)
-        result = brute_force_lift_search(p, ring)
+        result = brute_force_lift_search(ring)
         assert len(result.maps) == count
         assert result.nodes_explored == nodes
         assert result.budget == 10**7
@@ -216,8 +218,8 @@ def test_search_agrees_with_propagation():
     for p in (2, 3):
         for kind in ("zpk", "fpt"):
             ring = ring_make(kind, p, 2)
-            _, obstruction = propagate_forced_lift(p, ring)
-            result = brute_force_lift_search(p, ring)
+            _, obstruction = propagate_forced_lift(ring)
+            result = brute_force_lift_search(ring)
             if obstruction.verdict == VERDICT_BLOCKED:
                 assert len(result.maps) == 0
             else:
@@ -227,38 +229,48 @@ def test_search_agrees_with_propagation():
 def test_search_finds_exactly_trivial_lift():
     for p in (2, 3):
         ring = ring_make("fpt", p, 2)
-        result = brute_force_lift_search(p, ring)
+        result = brute_force_lift_search(ring)
         assert len(result.maps) == 1
-        assert dict(result.maps[0]) == trivial_lift_map(p, ring)
-        assert check_collinearity_preserving(dict(result.maps[0]), p, ring) == ()
+        assert dict(result.maps[0]) == trivial_lift_map(ring)
+        assert check_collinearity_preserving(dict(result.maps[0]), ring) == ()
 
 
 def test_search_budget_exhaustion():
     with pytest.raises(BudgetExceededError) as info:
-        brute_force_lift_search(2, Z4, budget=5)
+        brute_force_lift_search(Z4, budget=5)
     assert info.value.budget == 5
     assert info.value.nodes_explored >= 5
 
 
 def test_search_validation():
     with pytest.raises(InvalidParameterError):
-        brute_force_lift_search(2, Z4, budget=0)
-    with pytest.raises(InvalidParameterError):
-        brute_force_lift_search(4, Z4)
+        brute_force_lift_search(Z4, budget=0)
 
 
 def test_search_over_all_frames_z4():
     # no choice of anchor lifts admits a map: 4^4 frames, all blocked
-    maps, nodes = search_over_all_frames(2, Z4)
+    maps, nodes = search_over_all_frames(Z4)
     assert maps == ()
     assert nodes == 3072
     lifts_per_anchor = [len(enumerate_lifts(a, Z4)) for a in frame_anchors(2)]
     assert lifts_per_anchor == [4, 4, 4, 4]
 
 
+def test_search_over_all_frames_budget_is_one_total():
+    # the budget bounds the nodes of all frames together, not of each frame
+    with pytest.raises(BudgetExceededError) as info:
+        search_over_all_frames(Z4, budget=20)
+    assert (info.value.budget, info.value.nodes_explored) == (20, 21)
+    # every frame's lifts count against LIFTS_MAX before any is built
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        search_over_all_frames(ring_make("fpt", 2, 8), budget=1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_extract_used_configuration():
     for p in (2, 3, 5):
-        trace, _ = propagate_forced_lift(p, ring_make("zpk", p, 2))
+        trace, _ = propagate_forced_lift(ring_make("zpk", p, 2))
         used = extract_used_configuration(trace)
         mp = mp_configuration(p)
         assert used.points == mp.points
@@ -271,7 +283,7 @@ def test_extract_used_configuration():
 
 
 def test_certificate_schema():
-    trace, obstruction = propagate_forced_lift(2, Z4)
+    trace, obstruction = propagate_forced_lift(Z4)
     doc = certificate_json(trace, obstruction)
     assert set(doc) == {"p", "ring", "frame", "steps", "obstruction", "verdict"}
     assert doc["p"] == 2
@@ -291,7 +303,7 @@ def test_certificate_schema():
 def test_certificate_round_trip():
     for p, kind in [(2, "zpk"), (3, "zpk"), (2, "fpt"), (5, "zpk")]:
         ring = ring_make(kind, p, 2)
-        trace, obstruction = propagate_forced_lift(p, ring)
+        trace, obstruction = propagate_forced_lift(ring)
         doc = certificate_json(trace, obstruction)
         trace2, obstruction2 = certificate_parse(doc)
         assert trace2.p == trace.p
@@ -309,7 +321,7 @@ def test_certificate_round_trip():
 
 
 def test_certificate_parse_rejects_tampering():
-    trace, obstruction = propagate_forced_lift(2, Z4)
+    trace, obstruction = propagate_forced_lift(Z4)
     doc = certificate_json(trace, obstruction)
     bad = dict(doc, frame="mystery")
     with pytest.raises(InvalidParameterError):
@@ -355,11 +367,11 @@ def test_certificate_parse_rejects_forgeries():
     for p in (2, 3):
         for kind in ("zpk", "fpt"):
             ring = ring_make(kind, p, 2)
-            doc = certificate_json(*propagate_forced_lift(p, ring))
+            doc = certificate_json(*propagate_forced_lift(ring))
             certificate_parse(doc)
             cases += _forgeries(doc, ring)
     # the forgeries first reproduced on a p=3 certificate over Z/9
-    doc = certificate_json(*propagate_forced_lift(3, ring_make("zpk", 3, 2)))
+    doc = certificate_json(*propagate_forced_lift(ring_make("zpk", 3, 2)))
     cases += [
         _with_step2(doc, derived=[1, 5, 7]),
         _with_step2(doc, line1={"dual": [1, 1, 1]}),
@@ -370,49 +382,51 @@ def test_certificate_parse_rejects_forgeries():
     for bad in cases:
         with pytest.raises(InvalidParameterError):
             certificate_parse(bad)
+    # a top-level p other than the ring's is refused before any step is read
+    for p in (2, 5, 3.0):
+        with pytest.raises(InvalidParameterError, match="differs from its ring's p 3"):
+            certificate_parse(dict(doc, p=p))
 
 
 def test_certificate_text_render():
-    trace, obstruction = propagate_forced_lift(2, Z4)
+    trace, obstruction = propagate_forced_lift(Z4)
     text = certificate_render(trace, obstruction, format="text")
     assert text.splitlines()[-1] == (
         "obstruction p·1 = 2 ≠ 0 in Z/4: "
         "no collinearity-preserving lift exists with this frame"
     )
     assert "step 4: target (0:0:1)" in text
-    trace, obstruction = propagate_forced_lift(2, F2T)
+    trace, obstruction = propagate_forced_lift(F2T)
     text = certificate_render(trace, obstruction, format="text")
     assert text.splitlines()[-1] == "no obstruction"
 
 
 def test_certificate_render_deterministic():
-    first = certificate_render(*propagate_forced_lift(3, ring_make("zpk", 3, 2)), format="json")
-    second = certificate_render(*propagate_forced_lift(3, ring_make("zpk", 3, 2)), format="json")
+    first = certificate_render(*propagate_forced_lift(ring_make("zpk", 3, 2)), format="json")
+    second = certificate_render(*propagate_forced_lift(ring_make("zpk", 3, 2)), format="json")
     assert first == second
 
 
 def test_size_caps():
     # each cap refuses before anything is enumerated
     for call in (
-        lambda: brute_force_lift_search(17, ring_make("zpk", 17, 1), budget=1),
-        lambda: brute_force_lift_search(3, ring_make("zpk", 3, 5), budget=1),
-        lambda: trivial_lift_map(17, ring_make("zpk", 17, 2)),
-        lambda: check_collinearity_preserving({}, 17, ring_make("zpk", 17, 2)),
-        lambda: propagate_forced_lift(5003, ring_make("zpk", 5003, 2)),
+        lambda: brute_force_lift_search(ring_make("zpk", 17, 1), budget=1),
+        lambda: brute_force_lift_search(ring_make("zpk", 3, 5), budget=1),
+        lambda: trivial_lift_map(ring_make("zpk", 17, 2)),
+        lambda: check_collinearity_preserving({}, ring_make("zpk", 17, 2)),
+        lambda: propagate_forced_lift(ring_make("zpk", 5003, 2)),
         lambda: ring_make("fpt", 2, K_MAX + 1),
     ):
         with pytest.raises(BudgetExceededError, match="exceeds the supported maximum"):
             call()
     # and sits above the sizes the tests and the benchmark run
     assert (PLANE_P_MAX, PROPAGATE_P_MAX, K_MAX) == (13, 5000, 8)
-    assert (3**2 + 3 - 3) * 3 ** (2 * 3) <= LIFTS_MAX  # p = 3, k = 4
+    assert (3**2 + 3 - 3) * 3 ** (2 * 3) + 4 <= LIFTS_MAX  # p = 3, k = 4, anchors included
     with pytest.raises(BudgetExceededError, match="search budget exceeded"):
-        brute_force_lift_search(3, ring_make("zpk", 3, 4), budget=1)
-    assert len(trivial_lift_map(13, ring_make("zpk", 13, 2))) == 13**2 + 13 + 1
+        brute_force_lift_search(ring_make("zpk", 3, 4), budget=1)
+    assert len(trivial_lift_map(ring_make("zpk", 13, 2))) == 13**2 + 13 + 1
 
 
 def test_propagate_validation():
-    with pytest.raises(InvalidParameterError):
-        propagate_forced_lift(3, Z4)
-    with pytest.raises(InvalidParameterError):
-        propagate_forced_lift(6, ring_make("zpk", 2, 2))
+    with pytest.raises(InvalidParameterError, match="expects a LocalRing"):
+        propagate_forced_lift(2)
