@@ -17,7 +17,8 @@ The brute-force search below is the independent oracle: it enumerates every
 frame-fixing assignment of lifts outright, pruning on violated collinear
 triples, and must agree with the propagation verdict.
 
-Every entry point takes the coefficient ring alone and reads p off it.
+Every entry point takes the coefficient ring and reads p off it; the
+older form with p before the ring is accepted only when p is the ring's own.
 """
 
 from __future__ import annotations
@@ -155,7 +156,20 @@ class Obstruction:
         return self.element.is_zero
 
 
-def propagate_forced_lift(ring):
+def _ring_of(name, args):
+    """The ring of an entry point's positional arguments: `(ring,)`, or the
+    older `(p, ring)`, taken only when p is the int ring.p."""
+    ring = args[-1] if args else None
+    if len(args) > 2 or not isinstance(ring, LocalRing):
+        raise InvalidParameterError(f"{name} expects a LocalRing")
+    if len(args) == 2 and not (type(args[0]) is int and args[0] == ring.p):
+        raise InvalidParameterError(
+            f"residue characteristic mismatch: p={args[0]!r} but ring {ring} has p={ring.p}"
+        )
+    return ring
+
+
+def propagate_forced_lift(*args):
     """Run the forced chain over the ring (p = ring.p) with the standard frame.
 
     Returns (trace, obstruction).  Every join and meet along the way is
@@ -164,8 +178,7 @@ def propagate_forced_lift(ring):
     (n*1 : 0 : 1) and the n-th diagonal point at ((n+1)*1 : 1 : 1),
     projectively.
     """
-    if not isinstance(ring, LocalRing):
-        raise InvalidParameterError("propagate_forced_lift expects a LocalRing")
+    ring = _ring_of("propagate_forced_lift", args)
     p = ring.p
     check_cap(p, PROPAGATE_P_MAX, "prime p")
     frame = Frame.standard(ring)
@@ -246,7 +259,7 @@ def _images_collinear(a, b, c):
         return True  # one shared residue: vacuously accepted
 
 
-def check_collinearity_preserving(mapping, ring):
+def check_collinearity_preserving(mapping, *args):
     """All collinear triples whose images fail the determinant test.
 
     `mapping` must assign a point of P^2(A) to every point of P^2(F_p).
@@ -254,6 +267,7 @@ def check_collinearity_preserving(mapping, ring):
     Returns the violating triples; an empty tuple means the map preserves
     collinearity.
     """
+    ring = _ring_of("check_collinearity_preserving", args)
     p = ring.p
     check_cap(p, PLANE_P_MAX, "prime p")
     points = enumerate_points(2, p)
@@ -270,8 +284,9 @@ def check_collinearity_preserving(mapping, ring):
     return tuple(violations)
 
 
-def trivial_lift_map(ring):
+def trivial_lift_map(*args):
     """The coordinate-wise lift: each canonical F_p coordinate re-read in A."""
+    ring = _ring_of("trivial_lift_map", args)
     p = ring.p
     check_cap(p, PLANE_P_MAX, "prime p")
     return {pt: ProjPointA(ring, pt.coords) for pt in enumerate_points(2, p)}
@@ -284,6 +299,12 @@ class SearchResult:
     maps: tuple
     nodes_explored: int
     budget: int
+
+    def __len__(self):
+        return len(self.maps)
+
+    def __iter__(self):
+        return iter(self.maps)
 
 
 DEFAULT_BUDGET = 10**7
@@ -350,7 +371,7 @@ def _search(ring, budget, every_frame):
     return tuple(found), nodes
 
 
-def brute_force_lift_search(ring, budget=DEFAULT_BUDGET):
+def brute_force_lift_search(*args, budget=DEFAULT_BUDGET):
     """Exhaustive search over all frame-fixing lift assignments.
 
     Walks the non-frame points in lexicographic order; candidates for each
@@ -359,18 +380,19 @@ def brute_force_lift_search(ring, budget=DEFAULT_BUDGET):
     the first violated triple.  Every explored candidate counts one node
     against the budget.
     """
+    ring = _ring_of("brute_force_lift_search", args)
     maps, nodes = _search(ring, budget, every_frame=False)
     return SearchResult(maps=maps, nodes_explored=nodes, budget=budget)
 
 
-def search_over_all_frames(ring, budget=DEFAULT_BUDGET):
+def search_over_all_frames(*args, budget=DEFAULT_BUDGET):
     """Spot check: the same search for every choice of frame anchor lifts.
 
     Returns (maps, nodes) aggregated over all frames; `budget` bounds the
     total, and anchor choices count no nodes.  Desk scale only; at p=2 over
     Z/4 this is 4^4 frames of at most 4^3 assignments each.
     """
-    return _search(ring, budget, every_frame=True)
+    return _search(_ring_of("search_over_all_frames", args), budget, every_frame=True)
 
 
 def extract_used_configuration(trace):

@@ -209,7 +209,8 @@ def test_search_frozen_results():
     for (p, kind), (count, nodes) in SEARCH_RESULTS.items():
         ring = ring_make(kind, p, 2)
         result = brute_force_lift_search(ring)
-        assert len(result.maps) == count
+        assert len(result.maps) == len(result) == count
+        assert list(result) == list(result.maps)
         assert result.nodes_explored == nodes
         assert result.budget == 10**7
 
@@ -245,6 +246,8 @@ def test_search_budget_exhaustion():
 def test_search_validation():
     with pytest.raises(InvalidParameterError):
         brute_force_lift_search(Z4, budget=0)
+    with pytest.raises(InvalidParameterError):
+        brute_force_lift_search(4, Z4)
 
 
 def test_search_over_all_frames_z4():
@@ -428,5 +431,39 @@ def test_size_caps():
 
 
 def test_propagate_validation():
-    with pytest.raises(InvalidParameterError, match="expects a LocalRing"):
-        propagate_forced_lift(2)
+    with pytest.raises(InvalidParameterError):
+        propagate_forced_lift(3, Z4)
+    with pytest.raises(InvalidParameterError):
+        propagate_forced_lift(6, ring_make("zpk", 2, 2))
+    for call in (
+        lambda: propagate_forced_lift(2),
+        lambda: brute_force_lift_search(2),
+        lambda: search_over_all_frames(2, budget=1),
+        lambda: trivial_lift_map(2),
+        lambda: check_collinearity_preserving({}, 2),
+        lambda: trivial_lift_map(),
+        lambda: trivial_lift_map(2, 2, Z4),
+    ):
+        with pytest.raises(InvalidParameterError, match="expects a LocalRing"):
+            call()
+
+
+def test_entry_points_take_p_only_when_it_is_the_rings():
+    # the form with p before the ring answers as the ring-only form does
+    assert brute_force_lift_search(3, ring_make("zpk", 3, 2)).nodes_explored == 99
+    assert trivial_lift_map(2, Z4) == trivial_lift_map(Z4)
+    assert check_collinearity_preserving(trivial_lift_map(Z4), 2, Z4) == (
+        tuple(sorted(FANO_TRIPLE)),
+    )
+    assert search_over_all_frames(2, Z4) == ((), 3072)
+    assert propagate_forced_lift(2, Z4)[1] == propagate_forced_lift(Z4)[1]
+    # and a p the ring does not carry is refused, never mapped into the ring
+    for call in (
+        lambda: trivial_lift_map(3, Z4),
+        lambda: check_collinearity_preserving(trivial_lift_map(Z4), 3, Z4),
+        lambda: search_over_all_frames(3, Z4, budget=1),
+        lambda: brute_force_lift_search(3.0, ring_make("zpk", 3, 2)),
+        lambda: propagate_forced_lift(2.0, Z4),
+    ):
+        with pytest.raises(InvalidParameterError, match="residue characteristic mismatch"):
+            call()
