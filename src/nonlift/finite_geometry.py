@@ -26,6 +26,11 @@ from .errors import (
 
 MAX_DIM = 3
 P_MAX = 2**40  # trial division takes about 0.3 s at the cap
+# Largest configuration built, counted in inclusions before anything is
+# enumerated: (p^2+p+1)(p+1) in the plane, which mp_configuration scans too;
+# in P^3 the point-line, point-plane and line-plane pairs each number
+# (p^2+1)(p^2+p+1)(p+1).  Admits the plane to p = 61 and P^3 to p = 7.
+INCLUSIONS_MAX = 250_000
 
 
 def check_prime(p):
@@ -60,7 +65,10 @@ class ProjPointFp:
         check_prime(p)
         coords = tuple(coords)
         _check_dim(len(coords) - 1)
-        reduced = tuple(int(c) % p for c in coords)
+        for c in coords:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise InvalidParameterError(f"point coordinates must be integers, got {c!r}")
+        reduced = tuple(c % p for c in coords)
         pivot = next((i for i, c in enumerate(reduced) if c), None)
         if pivot is None:
             raise InvalidParameterError("all coordinates vanish; not a projective point")
@@ -426,10 +434,14 @@ def _plane_dual_from_members(members, p):
     return ProjPointFp(basis[0], p)
 
 
+def _check_config_size(n, p):
+    inclusions = point_line_counts(n, p)[1] * (p + 1) * (3 if n == 3 else 1)
+    check_cap(inclusions, INCLUSIONS_MAX, f"P^{n}(F_{p}) inclusion count")
+
+
 def incidence_config(n, p):
     """The full incidence configuration of P^n(F_p), n in {2, 3}."""
-    check_prime(p)
-    _check_dim(n, low=2)
+    _check_config_size(n, p)
     points = enumerate_points(n, p)
     planes = []
     if n == 3:
@@ -448,7 +460,7 @@ def mp_configuration(p):
     restriction matroid); listed lines keep their full p+1 members, while
     inclusions only relate the listed points to them.
     """
-    check_prime(p)
+    _check_config_size(2, p)
     chosen = set()
     for n in range(p):
         chosen.add(ProjPointFp((n % p, 0, 1), p))

@@ -32,7 +32,6 @@ from .errors import (
     IndeterminateIntersectionError,
     InvalidParameterError,
     MissingAssignmentError,
-    UndecidableCollinearityError,
     check_cap,
 )
 from .finite_geometry import (
@@ -75,29 +74,13 @@ def frame_anchors(p):
 
 @dataclass(frozen=True)
 class Frame:
-    """Images of the four frame anchors in P^2(A).
-
-    Each image must reduce to its standard anchor; the four anchors are in
-    general position for every p, so the images are too.
-    """
+    """The standard frame over A: each anchor's coordinates re-read in A."""
 
     ring: LocalRing
-    images: tuple
 
-    def __post_init__(self):
-        if len(self.images) != 4:
-            raise InvalidParameterError("a frame fixes exactly four anchor images")
-        for anchor, img in zip(frame_anchors(self.ring.p), self.images):
-            if not isinstance(img, ProjPointA) or img.ring != self.ring or img.dim != 2:
-                raise InvalidParameterError("frame images must be plane points over the ring")
-            if img.reduce() != anchor:
-                raise InvalidParameterError(
-                    f"frame image {img!r} does not reduce to its anchor {anchor!r}"
-                )
-
-    @classmethod
-    def standard(cls, ring):
-        return cls(ring=ring, images=tuple(ProjPointA(ring, c) for c in _ANCHOR_COORDS))
+    @property
+    def images(self):
+        return tuple(ProjPointA(self.ring, c) for c in _ANCHOR_COORDS)
 
     def assignment(self):
         """Anchor point -> image, as a dict."""
@@ -119,12 +102,15 @@ class PropagationTrace:
     """The full forced chain, ending in the step that closes the loop."""
 
     ring: LocalRing
-    frame: Frame
     steps: tuple
 
     @property
     def p(self):
         return self.ring.p
+
+    @property
+    def frame(self):
+        return Frame(self.ring)
 
     def pinned_points(self):
         """Every residue point whose image the trace pinned, sorted."""
@@ -181,8 +167,7 @@ def propagate_forced_lift(*args):
     ring = _ring_of("propagate_forced_lift", args)
     p = ring.p
     check_cap(p, PROPAGATE_P_MAX, "prime p")
-    frame = Frame.standard(ring)
-    e0_img, e1_img, e2_img, unit_img = frame.images
+    e0_img, e1_img, e2_img, unit_img = Frame(ring).images
     steps = []
 
     def derive(la, lb, expected_coords):
@@ -234,7 +219,7 @@ def propagate_forced_lift(*args):
         required=e2_img,
         verdict=VERDICT_OPEN if element.is_zero else VERDICT_BLOCKED,
     )
-    trace = PropagationTrace(ring=ring, frame=frame, steps=tuple(steps))
+    trace = PropagationTrace(ring=ring, steps=tuple(steps))
     return trace, obstruction
 
 
@@ -252,20 +237,13 @@ def collinear_triples(p):
     return triples
 
 
-def _images_collinear(a, b, c):
-    try:
-        return collinear_A(a, b, c)
-    except UndecidableCollinearityError:
-        return True  # one shared residue: vacuously accepted
-
-
 def check_collinearity_preserving(mapping, *args):
     """All collinear triples whose images fail the determinant test.
 
     `mapping` must assign a point of P^2(A) to every point of P^2(F_p).
-    Triples whose three images share one residue are vacuously accepted.
     Returns the violating triples; an empty tuple means the map preserves
-    collinearity.
+    collinearity.  Three images with one shared residue and a zero
+    determinant are undecidable and raise UndecidableCollinearityError.
     """
     ring = _ring_of("check_collinearity_preserving", args)
     p = ring.p
@@ -279,7 +257,7 @@ def check_collinearity_preserving(mapping, *args):
             raise InvalidParameterError(f"image of {pt!r} is not a plane point over {ring}")
     violations = []
     for x, y, z in collinear_triples(p):
-        if not _images_collinear(mapping[x], mapping[y], mapping[z]):
+        if not collinear_A(mapping[x], mapping[y], mapping[z]):
             violations.append((x, y, z))
     return tuple(violations)
 
@@ -339,7 +317,7 @@ def _search(ring, budget, every_frame):
     if every_frame:
         frames = itertools.product(*(enumerate_lifts(a, ring) for a in anchors))
     else:
-        frames = (Frame.standard(ring).images,)
+        frames = (Frame(ring).images,)
 
     assignment = {}
     found = []
@@ -358,8 +336,9 @@ def _search(ring, budget, every_frame):
             if nodes > budget:
                 raise BudgetExceededError(nodes, budget)
             assignment[pt] = cand
+            # lifts of distinct points: distinct residues, always decidable
             if all(
-                _images_collinear(assignment[x], assignment[y], assignment[z])
+                collinear_A(assignment[x], assignment[y], assignment[z])
                 for x, y, z in completed[m]
             ):
                 extend(m + 1)
@@ -458,8 +437,6 @@ def certificate_parse(doc):
         raise InvalidParameterError(f"certificate p {doc['p']!r} differs from its ring's p {p}")
     if doc.get("frame") != "standard":
         raise InvalidParameterError(f"unknown frame tag {doc.get('frame')!r}")
-    frame = Frame.standard(ring)
-
     steps = []
     for i, raw in enumerate(doc["steps"], start=1):
         step = DerivationStep(
@@ -490,10 +467,10 @@ def certificate_parse(doc):
     obstruction = Obstruction(
         element=element,
         derived=steps[-1].derived,
-        required=frame.images[2],
+        required=Frame(ring).images[2],
         verdict=verdict,
     )
-    trace = PropagationTrace(ring=ring, frame=frame, steps=tuple(steps))
+    trace = PropagationTrace(ring=ring, steps=tuple(steps))
     return trace, obstruction
 
 

@@ -70,7 +70,11 @@ class LocalRing:
             return rep % self.size
         if isinstance(rep, int) and not isinstance(rep, bool):
             rep = (rep,)
-        rep = tuple(int(c) % self.p for c in rep)
+        if not isinstance(rep, (tuple, list)) or any(
+            not isinstance(c, int) or isinstance(c, bool) for c in rep
+        ):
+            raise InvalidParameterError(f"F_p[t]/(t^k) coefficients must be integers, got {rep!r}")
+        rep = tuple(c % self.p for c in rep)
         if len(rep) > self.k:
             raise InvalidParameterError(
                 f"coefficient vector longer than k={self.k}: {rep!r}"
@@ -465,14 +469,19 @@ def line_intersect_A(l1, l2):
 def collinear_A(x, y, z):
     """Determinant collinearity test for three plane points over A.
 
-    The determinant is the cross product of x and y dotted with z.  It is
-    decisive whenever at least two of the three residues differ; when all
-    three residues coincide it always vanishes and the test says nothing,
-    so that case raises UndecidableCollinearityError.
+    The determinant is the cross product of x and y dotted with z; nonzero
+    means not collinear, and zero means collinear once two residues differ.
+    If all three residues coincide, y = x + πu and z = x + πv put it in
+    π²·A, zero for every such triple when k <= 2, so a zero determinant
+    there decides nothing and raises UndecidableCollinearityError.
     """
     _same_plane_points((x, y, z))
-    if x.reduce() == y.reduce() == z.reduce():
+    if not _dot_elems(_cross(x.coords, y.coords), z.coords).is_zero:
+        return False
+    residue = x.reduce()
+    if residue == y.reduce() == z.reduce():
         raise UndecidableCollinearityError(
-            "all three points share one residue; determinant test undecidable"
+            f"all three points reduce to {residue!r} and the determinant vanishes;"
+            " collinearity undecidable"
         )
-    return _dot_elems(_cross(x.coords, y.coords), z.coords).is_zero
+    return True

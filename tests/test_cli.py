@@ -145,6 +145,49 @@ def test_lift_check_map_file(capsys, tmp_path):
     code, out, _ = run(capsys, "lift", "check", "--p", "2", "--ring", "fpt:2", "--map", str(path))
     assert code == 0
     assert out == "violations: 0\n"
+    # three lifts of (0:0:1) for the line x = 0 over Z/4: undecidable, exit 1
+    moved = {(0, 1, 0): [0, 2, 1], (0, 1, 1): [2, 0, 1]}
+    doc = {
+        "assignments": [
+            {"point": list(c), "image": moved.get(c, list(c))} for c in points
+        ]
+    }
+    path = tmp_path / "undecidable.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "lift", "check", "--p", "2", "--ring", "zpk:2", "--map", str(path))
+    assert code == 1
+    assert out == ""
+    assert "undecidable" in err and "Traceback" not in err
+
+
+def test_lift_check_map_rejects_non_integer_coordinates(capsys, tmp_path):
+    points = [
+        (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+    ]
+    # one bad entry for (1:0:1) each time: a point coordinate that is not an
+    # integer, or an F_2[t]/(t^2) image coefficient that is not one
+    bad_entries = [
+        {"point": ["x", 0, 1], "image": [[1, 0], [0, 0], [1, 0]]},
+        {"point": [1.5, 0, 1], "image": [[1, 0], [0, 0], [1, 0]]},
+        {"point": [1, 0, 1], "image": [["a", 0], [0, 0], [1, 0]]},
+        {"point": [1, 0, 1], "image": ["10", [0, 0], [1, 0]]},
+        {"point": [True, 0, 1], "image": [[1, 0], [0, 0], [1, 0]]},
+    ]
+    for bad in bad_entries:
+        doc = {
+            "assignments": [
+                bad if c == (1, 0, 1) else {"point": list(c), "image": [[v, 0] for v in c]}
+                for c in points
+            ]
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(
+            capsys, "lift", "check", "--p", "2", "--ring", "fpt:2", "--map", str(path)
+        )
+        assert code == 1, bad
+        assert out == "", bad
+        assert "must be integers" in err and "Traceback" not in err, bad
 
 
 def test_motive_ps_text(capsys):
@@ -301,6 +344,10 @@ def test_usage_errors_exit_1(capsys):
         ("lift", "propagate", "--p", "2", "--ring", "fpt:1000000000000"),
         ("lift", "propagate", "--p", "2305843009213693951"),
         ("geom", "count", "--dim", "2", "--p", "2305843009213693951"),
+        ("geom", "config", "--dim", "2", "--p", "67"),
+        ("geom", "config", "--dim", "3", "--p", "11"),
+        ("geom", "mp", "--p", "67"),
+        ("geom", "mp", "--p", "211"),
     ]
     for args in cases:
         code, _, err = run(capsys, *args)
