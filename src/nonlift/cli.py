@@ -200,7 +200,16 @@ def _parse_map_file(path, ring):
     mapping = {}
     try:
         for entry in doc["assignments"]:
-            mapping[ProjPointFp(entry["point"], ring.p)] = ProjPointA(ring, entry["image"])
+            pt = ProjPointFp(entry["point"], ring.p)
+            # each point once, with coordinates in [0, p): a map written for
+            # another prime breaks one rule or the other
+            if any(not 0 <= c < ring.p for c in entry["point"]):
+                raise _UsageError(
+                    f"map point {entry['point']} has a coordinate outside [0, {ring.p})"
+                )
+            if pt in mapping:
+                raise _UsageError(f"map file assigns {pt!r} twice")
+            mapping[pt] = ProjPointA(ring, entry["image"])
     except (KeyError, TypeError) as exc:
         raise _UsageError(
             "map file must be a JSON object with an 'assignments' list "

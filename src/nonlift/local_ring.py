@@ -17,11 +17,15 @@ Lines in the projective plane over A are represented by their dual
 coordinate vectors.  Join and meet are then one operation, the normalized
 cross product of two points with distinct residues (of two line duals, for
 a meet), and three points are collinear when the cross product of two of
-them is orthogonal to the third.
+them is orthogonal to the third.  That kernel computes on integers: a Z/p^k
+representation is one already, and an F_p[t]/(t^k) element is packed by
+Kronecker substitution (a w-bit digit per coefficient), so one integer product
+is one truncated polynomial product.  Residue tests compare residue tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import (
@@ -288,14 +292,9 @@ class ProjPointA:
     __slots__ = ("ring", "coords")
 
     def __init__(self, ring, coords):
-        elems = []
-        for c in coords:
-            if isinstance(c, RingElem):
-                if c.ring is not ring and c.ring != ring:
-                    raise InvalidParameterError("coordinate from a different ring")
-                elems.append(c)
-            else:
-                elems.append(RingElem(ring, c))
+        elems = [c if isinstance(c, RingElem) else RingElem(ring, c) for c in coords]
+        if any(c.ring is not ring and c.ring != ring for c in elems):
+            raise InvalidParameterError("coordinate from a different ring")
         if not 1 <= len(elems) - 1 <= MAX_DIM:
             raise UnsupportedDimensionError(
                 f"projective points need 2 to {MAX_DIM + 1} coordinates, got {len(elems)}"
@@ -359,42 +358,66 @@ def enumerate_lifts(x, ring):
             f"residue characteristics differ: point over F_{x.p}, ring {ring}"
         )
     pivot = next(i for i, c in enumerate(x.coords) if c)
-    options = []
-    for i, c in enumerate(x.coords):
-        if i < pivot:
-            options.append(ring.lifts_of_residue(0))
-        elif i == pivot:
-            options.append([1])
-        else:
-            options.append(ring.lifts_of_residue(c))
+    options = [[1] if i == pivot else ring.lifts_of_residue(c) for i, c in enumerate(x.coords)]
     return [ProjPointA(ring, combo) for combo in itertools.product(*options)]
 
 
 def _same_plane_points(points):
     ring = points[0].ring
     for x in points:
-        if not isinstance(x, ProjPointA) or x.ring != ring:
+        if not isinstance(x, ProjPointA) or (x.ring is not ring and x.ring != ring):
             raise InvalidParameterError("points must share one coefficient ring")
-        if x.dim != 2:
+        if len(x.coords) != 3:
             raise UnsupportedDimensionError(
                 f"operation defined in ambient dimension 2, got {x.dim}"
             )
     return ring
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+def _residues(x):
+    """The residues of a canonical point's coordinates, canonical over F_p too."""
+    return [c.residue for c in x.coords]
 
 
-def _dot_elems(u, v):
-    total = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        total = total + a * b
-    return total
+@functools.lru_cache(maxsize=None)
+def _plane_kernel(ring):
+    """Plane incidence over `ring` on integers: (pack, unpack, cross, orthogonal).
+
+    `pack` maps coordinates to kernel integers, `unpack` a canonical one back
+    to an element; `cross` and `orthogonal` work on packed triples.
+    """
+    if ring.kind == "zpk":
+        size = ring.size
+        def pack(coords):
+            return [c.rep for c in coords]
+        def unpack(n):
+            return _canonical(ring, n)
+        def sub(pos, neg):
+            return (pos - neg) % size
+    else:
+        # Kronecker substitution: digit i, w bits wide, holds the coefficient
+        # of t^i.  A product of packed elements, or a sum of three, has digits
+        # below 3k(p-1)^2 < 2^(w-1): no carry crosses a digit, so digits
+        # 0..k-1 are the truncated product.
+        p, k = ring.p, ring.k
+        w = (3 * k * (p - 1) ** 2).bit_length() + 1
+        mask, shifts = (1 << w) - 1, range(0, w * k, w)
+        def pack(coords):
+            return [sum(c << s for c, s in zip(x.rep, shifts)) for x in coords]
+        def unpack(n):
+            return _canonical(ring, tuple(n >> s & mask for s in shifts))
+        def sub(pos, neg):
+            return sum(((pos >> s & mask) - (neg >> s & mask)) % p << s for s in shifts)
+
+    def cross(u, v):
+        u0, u1, u2 = u
+        v0, v1, v2 = v
+        return [sub(u1 * v2, u2 * v1), sub(u2 * v0, u0 * v2), sub(u0 * v1, u1 * v0)]
+
+    def orthogonal(u, v):
+        return not sub(u[0] * v[0] + u[1] * v[1] + u[2] * v[2], 0)
+
+    return pack, unpack, cross, orthogonal
 
 
 def _cross_point(x, y, error, message):
@@ -405,11 +428,13 @@ def _cross_point(x, y, error, message):
     `error(message)`, with the shared residue filled into `message`.
     """
     ring = _same_plane_points((x, y))
-    residue = x.reduce()
-    if residue == y.reduce():
-        raise error(message.format(residue))
-    out = ProjPointA(ring, _cross(x.coords, y.coords))
-    assert _dot_elems(out.coords, x.coords).is_zero and _dot_elems(out.coords, y.coords).is_zero
+    if _residues(x) == _residues(y):
+        raise error(message.format(x.reduce()))
+    pack, unpack, cross, orthogonal = _plane_kernel(ring)
+    u, v = pack(x.coords), pack(y.coords)
+    out = ProjPointA(ring, [unpack(n) for n in cross(u, v)])
+    dual = pack(out.coords)
+    assert orthogonal(dual, u) and orthogonal(dual, v)
     return out
 
 
@@ -431,7 +456,8 @@ class LineA:
         return self.dual.ring
 
     def contains(self, x):
-        return _dot_elems(self.dual.coords, x.coords).is_zero
+        pack, _, _, orthogonal = _plane_kernel(_same_plane_points((self.dual, x)))
+        return orthogonal(pack(self.dual.coords), pack(x.coords))
 
     def __eq__(self, other):
         if not isinstance(other, LineA):
@@ -475,13 +501,12 @@ def collinear_A(x, y, z):
     π²·A, zero for every such triple when k <= 2, so a zero determinant
     there decides nothing and raises UndecidableCollinearityError.
     """
-    _same_plane_points((x, y, z))
-    if not _dot_elems(_cross(x.coords, y.coords), z.coords).is_zero:
+    pack, _, cross, orthogonal = _plane_kernel(_same_plane_points((x, y, z)))
+    if not orthogonal(cross(pack(x.coords), pack(y.coords)), pack(z.coords)):
         return False
-    residue = x.reduce()
-    if residue == y.reduce() == z.reduce():
+    if _residues(x) == _residues(y) == _residues(z):
         raise UndecidableCollinearityError(
-            f"all three points reduce to {residue!r} and the determinant vanishes;"
+            f"all three points reduce to {x.reduce()!r} and the determinant vanishes;"
             " collinearity undecidable"
         )
     return True

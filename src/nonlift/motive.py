@@ -37,6 +37,20 @@ def _encode_int(n):
     return n if -_JSON_INT_LIMIT <= n <= _JSON_INT_LIMIT else str(n)
 
 
+def _decode_int(v):
+    """The inverse of `_encode_int`: an int, or the decimal string of a big one."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        try:
+            n = int(v)
+        except ValueError:
+            n = 0
+        if str(n) == v and abs(n) > _JSON_INT_LIMIT:
+            return n
+    raise InvalidParameterError(f"expected an integer or the string of a big one, got {v!r}")
+
+
 class LPolynomial:
     """A polynomial in the Lefschetz class L with integer coefficients.
 
@@ -220,11 +234,12 @@ class VarietyClass:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(
-            name=doc["name"],
-            dim=doc["dim"],
-            cls=LPolynomial(doc["coeffs"]),
-        )
+        dim, coeffs = _decode_int(doc["dim"]), [_decode_int(c) for c in doc["coeffs"]]
+        if len(coeffs) != dim + 1:
+            raise InvalidParameterError(
+                f"dimension {dim} needs {dim + 1} coefficients, got {len(coeffs)}"
+            )
+        return cls(name=doc["name"], dim=dim, cls=LPolynomial(coeffs))
 
 
 # Largest dimension of a class; larger ones are refused before any polynomial is built.
@@ -528,11 +543,14 @@ class InvariantsTable:
     def from_json(cls, doc):
         if doc["hodge_de_rham_sum_equal"] is not True:
             raise InvalidParameterError("hodge_de_rham_sum_equal is true for every cellular class")
+        dim, betti = _decode_int(doc["dim"]), tuple(_decode_int(b) for b in doc["betti"])
+        if len(betti) != 2 * dim + 1:
+            raise InvalidParameterError(f"dimension {dim} needs {2 * dim + 1} Betti numbers")
         return cls(
-            dim=doc["dim"],
-            betti=tuple(int(b) for b in doc["betti"]),
-            picard=int(doc["picard"]),
-            euler=int(doc["euler"]),
+            dim=dim,
+            betti=betti,
+            picard=_decode_int(doc["picard"]),
+            euler=_decode_int(doc["euler"]),
             palindromic=doc["palindromic"],
             nonnegative=doc["nonnegative"],
         )

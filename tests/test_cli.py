@@ -1,6 +1,7 @@
 """Command-line behavior: output text, exit codes, determinism, --out."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -188,6 +189,29 @@ def test_lift_check_map_rejects_non_integer_coordinates(capsys, tmp_path):
         assert code == 1, bad
         assert out == "", bad
         assert "must be integers" in err and "Traceback" not in err, bad
+
+
+def test_lift_check_map_rejects_another_primes_map(capsys, tmp_path):
+    # the trivial lift of P^2(F_3) over Z/9 reduces mod 2 onto repeated
+    # points; read at p = 2 it once printed three violations and exit 0
+    f3_points = [c for c in itertools.product(range(3), repeat=3)
+                 if any(c) and c[next(i for i, v in enumerate(c) if v)] == 1]
+    assert len(f3_points) == 13
+    f2_points = [c for c in f3_points if max(c) == 1]
+    repeated = f2_points + [(1, 0, 1)]
+    cases = [
+        (f3_points, "coordinate outside [0, 2)"),
+        (repeated, "assigns (1:0:1)/F2 twice"),
+    ]
+    for points, message in cases:
+        doc = {"assignments": [{"point": list(c), "image": list(c)} for c in points]}
+        path = tmp_path / "other_prime.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(
+            capsys, "lift", "check", "--p", "2", "--ring", "zpk:2", "--map", str(path)
+        )
+        assert (code, out) == (1, ""), message
+        assert message in err and "Traceback" not in err
 
 
 def test_motive_ps_text(capsys):

@@ -1,6 +1,7 @@
 """Arithmetic in the two coefficient rings and projective geometry over them."""
 
 import itertools
+import random
 
 import pytest
 
@@ -323,6 +324,16 @@ def test_line_json():
     assert isinstance(ln, LineA)
 
 
+def test_line_contains_checks_ring_and_dimension():
+    ln = line_through_A(ProjPointA(Z4, (1, 0, 0)), ProjPointA(Z4, (0, 1, 0)))
+    assert ln.contains(ProjPointA(Z4, (1, 1, 0)))
+    with pytest.raises(InvalidParameterError):
+        ln.contains(ProjPointA(Z9, (1, 0, 0)))
+    # a P^3 point once passed, its fourth coordinate ignored
+    with pytest.raises(UnsupportedDimensionError):
+        ln.contains(ProjPointA(Z4, (1, 0, 0, 0)))
+
+
 def test_collinear_A_cases():
     a = ProjPointA(Z4, (1, 0, 0))
     b = ProjPointA(Z4, (0, 0, 1))
@@ -339,3 +350,98 @@ def test_collinear_A_cases():
             ProjPointA(Z4, (1, 2, 1)),
             ProjPointA(Z4, (1, 0, 3)),
         )
+
+
+# -- the packed plane kernel against RingElem arithmetic ------------------------
+
+
+def _ref_cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _ref_det(x, y, z):
+    c = _ref_cross(x.coords, y.coords)
+    return c[0] * z.coords[0] + c[1] * z.coords[1] + c[2] * z.coords[2]
+
+
+def _residues(x):
+    return tuple(c.residue for c in x.coords)
+
+
+def _assert_kernel_agrees(x, y, z):
+    """collinear_A, join and meet against the RingElem determinant."""
+    ring = x.ring
+    det = _ref_det(x, y, z)
+    if det.is_zero and _residues(x) == _residues(y) == _residues(z):
+        with pytest.raises(UndecidableCollinearityError):
+            collinear_A(x, y, z)
+    else:
+        assert collinear_A(x, y, z) == det.is_zero
+    if _residues(x) == _residues(y):
+        with pytest.raises(IndeterminateSpanError):
+            line_through_A(x, y)
+        with pytest.raises(IndeterminateIntersectionError):
+            line_intersect_A(LineA(x), LineA(y))
+        return
+    ref = ProjPointA(ring, _ref_cross(x.coords, y.coords))
+    line = line_through_A(x, y)
+    assert line.dual == ref
+    assert line_intersect_A(LineA(x), LineA(y)) == ref
+    assert line.contains(x) and line.contains(y)
+    assert line.contains(z) == det.is_zero
+
+
+def _plane_points_A(ring):
+    return [a for x in enumerate_points(2, ring.p) for a in enumerate_lifts(x, ring)]
+
+
+@pytest.mark.parametrize("ring", [Z4, F2T], ids=str)
+def test_plane_kernel_matches_ring_arithmetic_exhaustive(ring):
+    points = _plane_points_A(ring)
+    assert len(points) == 28
+    # every triple up to order: reordering only changes the determinant's sign
+    for x, y, z in itertools.combinations_with_replacement(points, 3):
+        _assert_kernel_agrees(x, y, z)
+
+
+def _random_elem(rng, ring):
+    if ring.kind == "zpk":
+        return ring.elem(rng.randrange(ring.size))
+    return ring.elem([rng.randrange(ring.p) for _ in range(ring.k)])
+
+
+def _random_point(rng, ring, combine=()):
+    """A random point, or a random combination of `combine` plus a random
+    point times a random power of the uniformizer (zero when the power is k)."""
+    pi = ring.elem(ring.p if ring.kind == "zpk" else [0, 1])
+    while True:
+        noise = [_random_elem(rng, ring) for _ in range(3)]
+        if combine:
+            scale = ring.one
+            for _ in range(rng.randrange(1, ring.k + 1)):
+                scale = scale * pi
+            a, b = _random_elem(rng, ring), _random_elem(rng, ring)
+            noise = [a * u + b * v + scale * n
+                     for u, v, n in zip(combine[0].coords, combine[1].coords, noise)]
+        if any(c.is_unit for c in noise):
+            return ProjPointA(ring, noise)
+
+
+@pytest.mark.parametrize(
+    "spec", [("zpk", 3, 3), ("fpt", 3, 3), ("fpt", 13, 8), ("zpk", 907, 2), ("fpt", 503, 3)],
+    ids=str,
+)
+def test_plane_kernel_matches_ring_arithmetic_sampled(spec):
+    ring = ring_make(*spec)
+    rng = random.Random(f"kernel {spec}")
+    for _ in range(150):
+        x, y = _random_point(rng, ring), _random_point(rng, ring)
+        _assert_kernel_agrees(x, y, _random_point(rng, ring))
+        _assert_kernel_agrees(x, y, _random_point(rng, ring, (x, y)))
+        # lifts of x's residue: the undecidable corner
+        near_x = _random_point(rng, ring, (x, x))
+        _assert_kernel_agrees(x, near_x, _random_point(rng, ring, (x, near_x)))

@@ -354,6 +354,24 @@ def test_json_big_ints_become_strings():
     assert edge.to_json()["coeffs"] == [1, 2**53 - 1]
 
 
+def test_from_json_reads_back_only_what_to_json_writes():
+    # a fractional coefficient, or a dim that disagrees with the
+    # coefficients, was once read as the class 1 + L + L^2 in dimension 5
+    good = {"name": "x", "dim": 2, "coeffs": [1, str(2**60), 1]}
+    assert VarietyClass.from_json(good).cls == LPolynomial((1, 2**60, 1))
+    for bad in ([1, 1.5, 1], [1, "a", 1], [1, True, 1], [1, "12", 1], [1, " " + str(2**60), 1]):
+        with pytest.raises(InvalidParameterError):
+            VarietyClass.from_json({"name": "x", "dim": 2, "coeffs": bad})
+    with pytest.raises(InvalidParameterError):
+        VarietyClass.from_json({"name": "x", "dim": 5, "coeffs": [1, 1, 1]})
+    assert VarietyClass.from_json({"name": "x", "dim": 5, "coeffs": [1, 1, 1, 0, 0, 0]}).dim == 5
+    doc = invariants_table(construction_two_class(3)).to_json()
+    for key, value in (("euler", 1.5), ("picard", "7"), ("betti", doc["betti"][:-1]),
+                       ("betti", [float(b) for b in doc["betti"]]), ("dim", "3")):
+        with pytest.raises(InvalidParameterError):
+            InvariantsTable.from_json(dict(doc, **{key: value}))
+
+
 def test_invariants_table_frozen():
     tab = invariants_table(construction_one_class(flag_class_typeA(3)))
     assert tab.dim == 6
