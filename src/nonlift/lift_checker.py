@@ -422,15 +422,21 @@ def certificate_json(trace, obstruction):
 
 
 def certificate_parse(doc):
-    """Rebuild (trace, obstruction) from a certificate document.
+    """Rebuild (trace, obstruction) from a certificate document or its JSON text.
 
     Every step is replayed: its derived point must be the meet of its two
     lines and reduce to its target.  The element must be p·1 and the
     verdict the one that element implies.  That the lines are joins of
-    earlier pinned points is not checked.
+    earlier pinned points is not checked.  Text that is not JSON, and a
+    document with a missing or mistyped field, raise InvalidParameterError.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    try:
+        return _parse_certificate(json.loads(doc) if isinstance(doc, str) else doc)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"malformed certificate: {exc!r}") from None
+
+
+def _parse_certificate(doc):
     ring = LocalRing.from_json(doc["ring"])
     p = ring.p
     if not isinstance(doc["p"], int) or doc["p"] != p:

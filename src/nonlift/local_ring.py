@@ -5,27 +5,27 @@ when its residue is nonzero.  The first family has p * 1 != 0 as soon as
 k >= 2 (in particular Z/p^2 is the ring of length-2 Witt vectors of F_p),
 the second is the equicharacteristic control case with p * 1 = 0 always.
 
-Elements are represented exactly: an integer in [0, p^k) for Z/p^k, and a
-length-k tuple of coefficients (c0 + c1*t + ... ) with entries in [0, p)
-for F_p[t]/(t^k).  `RingElem` is the one arithmetic path: its operators
-compute on that representation and build canonical results, so
-`LocalRing.norm_rep` checks only input from outside.  Projective points over
-a ring A carry at least one unit coordinate and are normalized by scaling
-the first unit coordinate to 1.
+A `RingElem` stores one integer.  For Z/p^k it is the residue in [0, p^k);
+for F_p[t]/(t^k) it packs the coefficients c0 + c1*t + ... by Kronecker
+substitution, coefficient i in the w-bit digit i, so one integer product is
+one polynomial product.  `LocalRing` owns the encoding: it packs outside
+input once `norm_rep` has checked it, unpacks for `rep`, `to_json` and `str`,
+and gives the one reduction that every operator and plane function calls
+(mod p^k, or each of the low k digits mod p).  Subtraction adds the ring's
+bias first, a multiple of p in each digit that keeps any digit from
+borrowing.  Projective points over a ring A carry at least one unit
+coordinate and are normalized by scaling the first unit coordinate to 1.
 
 Lines in the projective plane over A are represented by their dual
 coordinate vectors.  Join and meet are then one operation, the normalized
 cross product of two points with distinct residues (of two line duals, for
 a meet), and three points are collinear when the cross product of two of
-them is orthogonal to the third.  That kernel computes on integers: a Z/p^k
-representation is one already, and an F_p[t]/(t^k) element is packed by
-Kronecker substitution (a w-bit digit per coefficient), so one integer product
-is one truncated polynomial product.  Residue tests compare residue tuples.
+them is orthogonal to the third; both read the stored integers directly.
+Residue tests compare residue lists.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .errors import (
@@ -49,7 +49,7 @@ K_MAX = 8
 class LocalRing:
     """One of the two coefficient ring families, fixed by (kind, p, k)."""
 
-    __slots__ = ("kind", "p", "k", "size")
+    __slots__ = ("kind", "p", "k", "size", "_shifts", "_mask", "_bias", "_reduce", "_residue")
 
     def __init__(self, kind, p, k):
         if kind not in KINDS:
@@ -58,10 +58,26 @@ class LocalRing:
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise InvalidParameterError(f"ring length k must be an integer >= 1, got {k!r}")
         check_cap(k, K_MAX, "ring length")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "size", p**k)
+        size = p**k
+        if kind == "zpk":
+            # one digit: % maps any integer, a negative difference too, to its
+            # residue, so no bias is needed
+            shifts, mask, bias = None, None, 0
+            reduce, residue = size.__rmod__, p.__rmod__
+        else:
+            # Digits of unreduced values stay below 2^w: a product's are at
+            # most k(p-1)^2, a dot product's 3k(p-1)^2, and a difference's
+            # below k(p-1)^2 + bias digit kp(p-1).  Digits at and above k
+            # only carry or borrow upwards, so masking the low k discards them.
+            w = (3 * k * p * p).bit_length()
+            shifts, mask = range(0, w * k, w), (1 << w) - 1
+            bias = sum(k * p * (p - 1) << s for s in shifts)
+            def reduce(n):
+                return sum((n >> s & mask) % p << s for s in shifts)
+            residue = mask.__and__
+        values = (kind, p, k, size, shifts, mask, bias, reduce, residue)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("LocalRing is immutable")
@@ -80,10 +96,17 @@ class LocalRing:
             raise InvalidParameterError(f"F_p[t]/(t^k) coefficients must be integers, got {rep!r}")
         rep = tuple(c % self.p for c in rep)
         if len(rep) > self.k:
-            raise InvalidParameterError(
-                f"coefficient vector longer than k={self.k}: {rep!r}"
-            )
+            raise InvalidParameterError(f"coefficient vector longer than k={self.k}: {rep!r}")
         return rep + (0,) * (self.k - len(rep))
+
+    def _encode(self, rep):
+        """The stored integer of a raw representation checked by `norm_rep`."""
+        rep = self.norm_rep(rep)
+        return rep if self.kind == "zpk" else sum(c << s for c, s in zip(rep, self._shifts))
+
+    def _decode(self, n):
+        """The canonical representation of a stored integer."""
+        return n if self.kind == "zpk" else tuple(n >> s & self._mask for s in self._shifts)
 
     def reps(self):
         """All raw representations in ascending lexicographic order."""
@@ -158,16 +181,23 @@ def ring_make(kind, p, k):
 
 
 class RingElem:
-    """An element of a LocalRing; its operators are the one arithmetic path."""
+    """An element of a LocalRing; its operators are the one arithmetic path.
 
-    __slots__ = ("ring", "rep")
+    The element is the ring's integer `_n`; `rep` decodes it.
+    """
+
+    __slots__ = ("ring", "_n")
 
     def __init__(self, ring, rep):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rep", ring.norm_rep(rep))
+        object.__setattr__(self, "_n", ring._encode(rep))
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElem is immutable")
+
+    @property
+    def rep(self):
+        return self.ring._decode(self._n)
 
     def _coerce(self, other):
         if isinstance(other, RingElem):
@@ -178,50 +208,32 @@ class RingElem:
             return RingElem(self.ring, other)
         return None
 
-    def _sum(self, other, sign):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        ring = self.ring
-        if ring.kind == "zpk":
-            return _canonical(ring, (self.rep + sign * other.rep) % ring.size)
-        p = ring.p
-        return _canonical(ring, tuple((x + sign * y) % p for x, y in zip(self.rep, other.rep)))
-
     def __add__(self, other):
-        return self._sum(other, 1)
+        other = self._coerce(other)
+        return NotImplemented if other is None else _reduced(self.ring, self._n + other._n)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._sum(other, -1)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other._minus(self._n)
 
     def __rsub__(self, other):
-        return (-self)._sum(other, 1)
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._minus(other._n)
+
+    def _minus(self, n):
+        """n minus this element, n a stored integer of the same ring."""
+        return _reduced(self.ring, n + self.ring._bias - self._n)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        ring, a, b = self.ring, self.rep, other.rep
-        if ring.kind == "zpk":
-            return _canonical(ring, (a * b) % ring.size)
-        p, k = ring.p, ring.k
-        out = [0] * k
-        for i, x in enumerate(a):
-            if x:
-                for j in range(k - i):
-                    out[i + j] = (out[i + j] + x * b[j]) % p
-        return _canonical(ring, tuple(out))
+        return NotImplemented if other is None else _reduced(self.ring, self._n * other._n)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        ring = self.ring
-        if ring.kind == "zpk":
-            return _canonical(ring, (-self.rep) % ring.size)
-        p = ring.p
-        return _canonical(ring, tuple((-x) % p for x in self.rep))
+        return self._minus(0)
 
     @property
     def is_unit(self):
@@ -229,61 +241,59 @@ class RingElem:
 
     @property
     def is_zero(self):
-        return self.rep == 0 if self.ring.kind == "zpk" else not any(self.rep)
+        return self._n == 0
 
     @property
     def residue(self):
-        return self.rep % self.ring.p if self.ring.kind == "zpk" else self.rep[0]
+        return self.ring._residue(self._n)
 
     def inverse(self):
-        ring, a = self.ring, self.rep
+        """Newton's step b -> b(2 - ab) from the residue's inverse, which
+        doubles the power of p (or t) that ab - 1 is divisible by."""
+        ring, n = self.ring, self._n
         if not self.is_unit:
-            raise InvalidParameterError(f"{a!r} is not a unit in {ring}")
-        if ring.kind == "zpk":
-            return _canonical(ring, pow(a, -1, ring.size))
-        p = ring.p
-        b = [pow(a[0], -1, p)]
-        for m in range(1, ring.k):
-            s = sum(a[i] * b[m - i] for i in range(1, m + 1)) % p
-            b.append((-b[0] * s) % p)
-        return _canonical(ring, tuple(b))
+            raise InvalidParameterError(f"{self.rep!r} is not a unit in {ring}")
+        reduce, bias = ring._reduce, ring._bias
+        b = pow(self.residue, -1, ring.p)
+        for _ in range((ring.k - 1).bit_length()):
+            b = reduce(b * reduce(2 + bias - n * b))
+        return _canonical(ring, b)
 
     def __eq__(self, other):
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self.rep == other.rep and (self.ring is other.ring or self.ring == other.ring)
+        return self._n == other._n and (self.ring is other.ring or self.ring == other.ring)
 
     def __hash__(self):
-        return hash((self.ring, self.rep))
+        return hash((self.ring, self._n))
 
     def __repr__(self):
         return f"{self!s} in {self.ring}"
 
     def __str__(self):
         if self.ring.kind == "zpk":
-            return str(self.rep)
-        terms = []
-        for i, c in enumerate(self.rep):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("t" if c == 1 else f"{c}*t")
-            else:
-                terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-        return " + ".join(terms) if terms else "0"
+            return str(self._n)
+        terms = [
+            str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("t" if i == 1 else f"t^{i}")
+            for i, c in enumerate(self.rep) if c
+        ]
+        return " + ".join(terms) or "0"
 
     def to_json(self):
-        return self.rep if self.ring.kind == "zpk" else list(self.rep)
+        return self._n if self.ring.kind == "zpk" else list(self.rep)
 
 
-def _canonical(ring, rep):
-    """A RingElem over a representation that is canonical by construction."""
+def _canonical(ring, n):
+    """A RingElem over a stored integer that is reduced already."""
     elem = object.__new__(RingElem)
     object.__setattr__(elem, "ring", ring)
-    object.__setattr__(elem, "rep", rep)
+    object.__setattr__(elem, "_n", n)
     return elem
+
+
+def _reduced(ring, n):
+    """A RingElem over the reduction of an integer in the ring's encoding."""
+    return _canonical(ring, ring._reduce(n))
 
 
 class ProjPointA:
@@ -304,9 +314,9 @@ class ProjPointA:
             raise NotAProjectivePointError(
                 f"no unit coordinate in {[str(c) for c in elems]} over {ring}"
             )
-        inv = elems[pivot].inverse()
+        inv = elems[pivot].inverse()._n
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coords", tuple(c * inv for c in elems))
+        object.__setattr__(self, "coords", tuple(_reduced(ring, c._n * inv) for c in elems))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPointA is immutable")
@@ -325,16 +335,13 @@ class ProjPointA:
         return self.ring == other.ring and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.ring, tuple(c.rep for c in self.coords)))
+        return hash((self.ring, tuple(c._n for c in self.coords)))
 
     def __repr__(self):
         return f"({':'.join(str(c) for c in self.coords)}) over {self.ring}"
 
     def to_json(self):
-        return {
-            "ring": self.ring.to_json(),
-            "coords": [c.to_json() for c in self.coords],
-        }
+        return {"ring": self.ring.to_json(), "coords": [c.to_json() for c in self.coords]}
 
     @classmethod
     def from_json(cls, doc):
@@ -379,45 +386,26 @@ def _residues(x):
     return [c.residue for c in x.coords]
 
 
-@functools.lru_cache(maxsize=None)
-def _plane_kernel(ring):
-    """Plane incidence over `ring` on integers: (pack, unpack, cross, orthogonal).
+def _ints(x):
+    """The stored integers of a point's coordinates."""
+    return [c._n for c in x.coords]
 
-    `pack` maps coordinates to kernel integers, `unpack` a canonical one back
-    to an element; `cross` and `orthogonal` work on packed triples.
-    """
-    if ring.kind == "zpk":
-        size = ring.size
-        def pack(coords):
-            return [c.rep for c in coords]
-        def unpack(n):
-            return _canonical(ring, n)
-        def sub(pos, neg):
-            return (pos - neg) % size
-    else:
-        # Kronecker substitution: digit i, w bits wide, holds the coefficient
-        # of t^i.  A product of packed elements, or a sum of three, has digits
-        # below 3k(p-1)^2 < 2^(w-1): no carry crosses a digit, so digits
-        # 0..k-1 are the truncated product.
-        p, k = ring.p, ring.k
-        w = (3 * k * (p - 1) ** 2).bit_length() + 1
-        mask, shifts = (1 << w) - 1, range(0, w * k, w)
-        def pack(coords):
-            return [sum(c << s for c, s in zip(x.rep, shifts)) for x in coords]
-        def unpack(n):
-            return _canonical(ring, tuple(n >> s & mask for s in shifts))
-        def sub(pos, neg):
-            return sum(((pos >> s & mask) - (neg >> s & mask)) % p << s for s in shifts)
 
-    def cross(u, v):
-        u0, u1, u2 = u
-        v0, v1, v2 = v
-        return [sub(u1 * v2, u2 * v1), sub(u2 * v0, u0 * v2), sub(u0 * v1, u1 * v0)]
+def _cross(ring, u, v):
+    """The reduced cross product of two coordinate-integer triples."""
+    reduce, bias = ring._reduce, ring._bias
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return [
+        reduce(u1 * v2 + bias - u2 * v1),
+        reduce(u2 * v0 + bias - u0 * v2),
+        reduce(u0 * v1 + bias - u1 * v0),
+    ]
 
-    def orthogonal(u, v):
-        return not sub(u[0] * v[0] + u[1] * v[1] + u[2] * v[2], 0)
 
-    return pack, unpack, cross, orthogonal
+def _orthogonal(ring, u, v):
+    """Whether two coordinate-integer triples have zero dot product."""
+    return not ring._reduce(u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
 
 
 def _cross_point(x, y, error, message):
@@ -430,11 +418,10 @@ def _cross_point(x, y, error, message):
     ring = _same_plane_points((x, y))
     if _residues(x) == _residues(y):
         raise error(message.format(x.reduce()))
-    pack, unpack, cross, orthogonal = _plane_kernel(ring)
-    u, v = pack(x.coords), pack(y.coords)
-    out = ProjPointA(ring, [unpack(n) for n in cross(u, v)])
-    dual = pack(out.coords)
-    assert orthogonal(dual, u) and orthogonal(dual, v)
+    u, v = _ints(x), _ints(y)
+    out = ProjPointA(ring, [_canonical(ring, n) for n in _cross(ring, u, v)])
+    dual = _ints(out)
+    assert _orthogonal(ring, dual, u) and _orthogonal(ring, dual, v)
     return out
 
 
@@ -456,8 +443,8 @@ class LineA:
         return self.dual.ring
 
     def contains(self, x):
-        pack, _, _, orthogonal = _plane_kernel(_same_plane_points((self.dual, x)))
-        return orthogonal(pack(self.dual.coords), pack(x.coords))
+        ring = _same_plane_points((self.dual, x))
+        return _orthogonal(ring, _ints(self.dual), _ints(x))
 
     def __eq__(self, other):
         if not isinstance(other, LineA):
@@ -501,8 +488,8 @@ def collinear_A(x, y, z):
     π²·A, zero for every such triple when k <= 2, so a zero determinant
     there decides nothing and raises UndecidableCollinearityError.
     """
-    pack, _, cross, orthogonal = _plane_kernel(_same_plane_points((x, y, z)))
-    if not orthogonal(cross(pack(x.coords), pack(y.coords)), pack(z.coords)):
+    ring = _same_plane_points((x, y, z))
+    if not _orthogonal(ring, _cross(ring, _ints(x), _ints(y)), _ints(z)):
         return False
     if _residues(x) == _residues(y) == _residues(z):
         raise UndecidableCollinearityError(

@@ -226,11 +226,13 @@ class VarietyClass:
         return self.cls(1)
 
     def to_json(self):
-        return {
+        """The class as JSON; `cellular` is written only when it is false."""
+        doc = {
             "name": self.name,
             "dim": self.dim,
             "coeffs": [_encode_int(self.cls.coeff(i)) for i in range(self.dim + 1)],
         }
+        return doc if self.cellular else dict(doc, cellular=False)
 
     @classmethod
     def from_json(cls, doc):
@@ -239,7 +241,10 @@ class VarietyClass:
             raise InvalidParameterError(
                 f"dimension {dim} needs {dim + 1} coefficients, got {len(coeffs)}"
             )
-        return cls(name=doc["name"], dim=dim, cls=LPolynomial(coeffs))
+        cellular = doc.get("cellular", True)
+        if not isinstance(cellular, bool):
+            raise InvalidParameterError(f"cellular must be true or false, got {cellular!r}")
+        return cls(name=doc["name"], dim=dim, cls=LPolynomial(coeffs), cellular=cellular)
 
 
 # Largest dimension of a class; larger ones are refused before any polynomial is built.

@@ -324,6 +324,12 @@ GOLDEN = [
      "fccd59dbd2eacb16699cc8fa0b2903d588d157fdb7f26ad93d803d0587eb99f9"),
     ("lift brute --p 1 --ring zpk:2", 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("lift propagate --p 13 --ring fpt:8 --format json", 0,
+     "5e09a3208712ce04e63458cc5cb9b2206a22f80de06145474ffd436ea362eff9"),
+    ("lift brute --p 2 --ring fpt:4 --format json", 0,
+     "0e7597bc4a1a2cb42cd363cef78c6c11056b291a1e64f72ea6454721f3b78e80"),
+    ("lift check --p 7 --ring fpt:2 --map FMAP", 0,
+     "f67d0164102dcbb9fa2b7ca6b3213afb413056aba1be11b955b028dab2720747"),
 ]
 
 
@@ -332,16 +338,24 @@ def test_golden_outputs(capsys, tmp_path):
     points = [(0, 0, 1)] + [(0, 1, b) for b in range(p)]
     points += [(1, a, b) for a in range(p) for b in range(p)]
     # every point keeps its residue; coordinates move by multiples of p
-    doc = {
-        "assignments": [
-            {"point": list(c), "image": [v + p * ((i + j) % 3) for j, v in enumerate(c)]}
-            for i, c in enumerate(points)
-        ]
+    # (MAP, over Z/p^2) or of t (FMAP, over F_p[t]/(t^2))
+    maps = {
+        "MAP": lambda i, j, v: v + p * ((i + j) % 3),
+        "FMAP": lambda i, j, v: [v, (i + j) % 3],
     }
-    path = tmp_path / "perturbed.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    paths = {}
+    for name, image in maps.items():
+        doc = {
+            "assignments": [
+                {"point": list(c), "image": [image(i, j, v) for j, v in enumerate(c)]}
+                for i, c in enumerate(points)
+            ]
+        }
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
     for argv, code, digest in GOLDEN:
-        got, out, _ = run(capsys, *argv.replace("MAP", str(path)).split())
+        args = [str(paths.get(a, a)) for a in argv.split()]
+        got, out, _ = run(capsys, *args)
         assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest), argv
 
 

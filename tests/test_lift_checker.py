@@ -5,6 +5,7 @@ counts, node totals and verdicts.  The search results double as the
 independent oracle for the propagation verdicts.
 """
 
+import json
 import time
 
 import pytest
@@ -378,6 +379,20 @@ def test_certificate_parse_rejects_forgeries():
     for p in (2, 5, 3.0):
         with pytest.raises(InvalidParameterError, match="differs from its ring's p 3"):
             certificate_parse(dict(doc, p=p))
+
+
+def test_certificate_parse_rejects_malformed_documents():
+    # each of these once raised a bare KeyError, TypeError or JSONDecodeError
+    doc = certificate_json(*propagate_forced_lift(ring_make("zpk", 3, 2)))
+    cases = [
+        {key: value for key, value in doc.items() if key != missing}
+        for missing in ("p", "ring", "steps", "obstruction", "verdict")
+    ]
+    cases += [_with_step2(doc, line1=5), [doc], "{", json.dumps(doc)[:-1]]
+    for bad in cases:
+        with pytest.raises(InvalidParameterError):
+            certificate_parse(bad)
+    assert certificate_parse(json.dumps(doc))[1].verdict == VERDICT_BLOCKED
 
 
 def test_certificate_text_render():

@@ -352,7 +352,73 @@ def test_collinear_A_cases():
         )
 
 
-# -- the packed plane kernel against RingElem arithmetic ------------------------
+# -- RingElem arithmetic against a schoolbook reference ------------------------
+
+
+def _schoolbook(ring):
+    """+, -, *, unary - and inverse on plain representations, written out
+    without the ring's integer encoding: ints mod p^k, or coefficient lists
+    multiplied term by term and truncated at t^k."""
+    p, k, size = ring.p, ring.k, ring.size
+    if ring.kind == "zpk":
+        return {
+            "add": lambda a, b: (a + b) % size,
+            "sub": lambda a, b: (a - b) % size,
+            "mul": lambda a, b: (a * b) % size,
+            "neg": lambda a: -a % size,
+            "inverse": lambda a: pow(a, -1, size),
+        }
+
+    def mul(a, b):
+        out = [0] * k
+        for i in range(k):
+            for j in range(k - i):
+                out[i + j] += a[i] * b[j]
+        return tuple(c % p for c in out)
+
+    def inverse(a):
+        # solve a * b = 1 one coefficient of t at a time
+        b = [pow(a[0], -1, p)]
+        for m in range(1, k):
+            b.append(-b[0] * sum(a[i] * b[m - i] for i in range(1, m + 1)) % p)
+        return tuple(b)
+
+    return {
+        "add": lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+        "sub": lambda a, b: tuple((x - y) % p for x, y in zip(a, b)),
+        "mul": mul,
+        "neg": lambda a: tuple(-x % p for x in a),
+        "inverse": inverse,
+    }
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("fpt", 2, 8), ("fpt", 13, 8), ("fpt", 4999, 8), ("zpk", 2, 8), ("zpk", 4999, 8)],
+    ids=str,
+)
+def test_ring_arithmetic_matches_schoolbook_reference(spec):
+    # k = K_MAX, and p up to just below PROPAGATE_P_MAX: the widest digits
+    ring = ring_make(*spec)
+    ref = _schoolbook(ring)
+    rng = random.Random(f"schoolbook {spec}")
+    top = ring.size - 1 if ring.kind == "zpk" else (ring.p - 1,) * ring.k
+    reps = [ring.zero.rep, ring.one.rep, top] + [_random_elem(rng, ring).rep for _ in range(40)]
+    for a, b in itertools.product(reps, repeat=2):
+        x, y = ring.elem(a), ring.elem(b)
+        assert (x + y).rep == ref["add"](a, b)
+        assert (x - y).rep == ref["sub"](a, b)
+        assert (x * y).rep == ref["mul"](a, b)
+        assert (x * y) == ring.elem(ref["mul"](a, b))
+    for a in reps:
+        x = ring.elem(a)
+        assert (-x).rep == ref["neg"](a)
+        if x.is_unit:
+            assert x.inverse().rep == ref["inverse"](a)
+            assert ref["mul"](a, x.inverse().rep) == ring.one.rep
+
+
+# -- plane geometry over A against RingElem arithmetic --------------------------
 
 
 def _ref_cross(u, v):
@@ -373,7 +439,7 @@ def _residues(x):
 
 
 def _assert_kernel_agrees(x, y, z):
-    """collinear_A, join and meet against the RingElem determinant."""
+    """collinear_A, join, meet and contains against the RingElem determinant."""
     ring = x.ring
     det = _ref_det(x, y, z)
     if det.is_zero and _residues(x) == _residues(y) == _residues(z):

@@ -372,6 +372,24 @@ def test_from_json_reads_back_only_what_to_json_writes():
             InvariantsTable.from_json(dict(doc, **{key: value}))
 
 
+def test_non_cellular_class_round_trips():
+    # to_json once dropped the flag, and the class read back as cellular
+    mystery = VarietyClass(name="m", dim=2, cls=LPolynomial((1, 1, 1)), cellular=False)
+    doc = mystery.to_json()
+    assert doc["cellular"] is False
+    back = VarietyClass.from_json(doc)
+    assert back == mystery
+    with pytest.raises(InvalidParameterError):
+        invariants_table(back)
+    # a cellular class writes no flag, and reads back cellular
+    ps2 = projective_space_class(2)
+    assert "cellular" not in ps2.to_json()
+    assert VarietyClass.from_json(ps2.to_json()).cellular
+    for bad in (0, 1, "false", None):
+        with pytest.raises(InvalidParameterError):
+            VarietyClass.from_json(dict(doc, cellular=bad))
+
+
 def test_invariants_table_frozen():
     tab = invariants_table(construction_one_class(flag_class_typeA(3)))
     assert tab.dim == 6
