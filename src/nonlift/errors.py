@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import json
 
 
 class NonliftError(Exception):
@@ -53,6 +55,25 @@ def check_cap(value, cap, label):
     """Refuse a size above its documented cap, before any work is done."""
     if value > cap:
         raise BudgetExceededError(0, cap, f"{label} {value} exceeds the supported maximum {cap}")
+
+
+def read_back(doc, build, write, label):
+    """The one reading rule: `build(doc)`, accepted only if `write` gives `doc` back.
+
+    Both documents are compared as sorted-key JSON text, so `true` is not
+    `1` and `1.0` is not `1`.  A document that cannot be built, or that
+    differs from the one its object writes, raises InvalidParameterError.
+    """
+    try:
+        obj = build(doc)
+        same = json.dumps(write(obj), sort_keys=True) == json.dumps(doc, sort_keys=True)
+    except InvalidParameterError:
+        raise
+    except (NonliftError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"malformed {label}: {exc!r}") from None
+    if not same:
+        raise InvalidParameterError(f"malformed {label}: not the document its writer gives back")
+    return obj
 
 
 class InvalidBlowupError(NonliftError):

@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedDimensionError,
     check_cap,
+    read_back,
 )
 
 MAX_DIM = 3
@@ -348,50 +349,41 @@ class IncidenceConfig:
         return len(self.points) + len(self.lines)
 
     def to_json(self):
-        idx = {pt: i for i, pt in enumerate(self.points)}
+        # a line's members are the points its point-line inclusions name
+        off, end = self.line_offset, self.plane_offset
+        members = [[] for _ in self.lines]
+        for child, parent in self.inclusions:
+            if child < off <= parent < end:
+                members[parent - off].append(child)
         return {
             "dim": self.dim,
             "p": self.p,
             "points": [list(pt.coords) for pt in self.points],
-            "lines": [
-                sorted(idx[pt] for pt in line.points if pt in idx) for line in self.lines
-            ],
+            "lines": [sorted(m) for m in members],
             "planes": [list(pl.point_indices) for pl in self.planes],
             "inclusions": [list(pair) for pair in self.inclusions],
         }
 
     @classmethod
     def from_json(cls, doc):
-        """Rebuild a configuration from its JSON document.
+        """The configuration of a `to_json` document, read by `errors.read_back`.
 
-        Line entries are index lists relative to the listed points.  A full
-        configuration lists all p+1 members per line; a restricted one may
-        list fewer, in which case the line is recovered by spanning its
-        first two listed members.
+        Each line is the join of its first two listed members, each plane the
+        one through its members, and `from_members` derives everything else.
         """
-        p = check_prime(doc["p"])
-        points = tuple(ProjPointFp(c, p) for c in doc["points"])
-        lines = []
-        for members in doc["lines"]:
-            if len(members) == p + 1:
-                lines.append(LineFp([points[i] for i in members]))
-            elif len(members) >= 2:
-                lines.append(line_through(points[members[0]], points[members[1]]))
-            else:
-                raise InvalidParameterError("line entry needs at least two member points")
-        lines = tuple(lines)
-        planes = tuple(
-            PlaneFp(_plane_dual_from_members([points[i] for i in members], p), tuple(members))
-            for members in doc["planes"]
-        )
-        return cls(
-            dim=doc["dim"],
-            p=p,
-            points=points,
-            lines=lines,
-            planes=planes,
-            inclusions=tuple(tuple(pair) for pair in doc["inclusions"]),
-        )
+        def build(d):
+            p = check_prime(d["p"])
+            points = [ProjPointFp(c, p) for c in d["points"]]
+            idx = {pt: i for i, pt in enumerate(points)}
+            lines = [line_through(*(points[i] for i in members[:2])) for members in d["lines"]]
+            planes = []
+            for members in d["planes"]:
+                pts = [points[i] for i in members]
+                indices = tuple(sorted({idx[pt] for pt in pts}))
+                planes.append(PlaneFp(_plane_dual_from_members(pts, p), indices))
+            return cls.from_members(points, lines, planes)
+
+        return read_back(doc, build, cls.to_json, "configuration")
 
     @classmethod
     def from_members(cls, points, lines, planes=()):
@@ -399,8 +391,11 @@ class IncidenceConfig:
 
         Lists every point of `points` on each line and plane, then every
         line lying in each plane; line members outside `points` are left out.
+        The points must be distinct and of one space.
         """
         idx = {pt: i for i, pt in enumerate(points)}
+        if len(idx) != len(points) or len({(pt.p, pt.dim) for pt in points}) != 1:
+            raise InvalidParameterError("configuration points must be distinct, in one space")
         line_off = len(points)
         plane_off = line_off + len(lines)
         inclusions = [

@@ -33,6 +33,7 @@ from .errors import (
     InvalidParameterError,
     MissingAssignmentError,
     check_cap,
+    read_back,
 )
 from .finite_geometry import (
     IncidenceConfig,
@@ -211,16 +212,22 @@ def propagate_forced_lift(*args):
         (p, 0, 1),
     )
 
-    element = ring.p_one
-    assert (final == e2_img) == element.is_zero
-    obstruction = Obstruction(
+    trace = PropagationTrace(ring=ring, steps=tuple(steps))
+    obstruction = _obstruction(trace)
+    assert (final == e2_img) == obstruction.is_zero
+    return trace, obstruction
+
+
+def _obstruction(trace):
+    """The closing comparison of a trace: its last derived point against the
+    pinned image of (0:0:1), decided by the element p·1."""
+    element = trace.ring.p_one
+    return Obstruction(
         element=element,
-        derived=final,
-        required=e2_img,
+        derived=trace.steps[-1].derived,
+        required=trace.frame.images[2],
         verdict=VERDICT_OPEN if element.is_zero else VERDICT_BLOCKED,
     )
-    trace = PropagationTrace(ring=ring, steps=tuple(steps))
-    return trace, obstruction
 
 
 def collinear_triples(p):
@@ -425,15 +432,18 @@ def certificate_parse(doc):
     """Rebuild (trace, obstruction) from a certificate document or its JSON text.
 
     Every step is replayed: its derived point must be the meet of its two
-    lines and reduce to its target.  The element must be p·1 and the
-    verdict the one that element implies.  That the lines are joins of
-    earlier pinned points is not checked.  Text that is not JSON, and a
-    document with a missing or mistyped field, raise InvalidParameterError.
+    lines and reduce to its target.  That the lines are joins of earlier
+    pinned points is not checked.  The obstruction is rebuilt from the
+    trace, so through `errors.read_back` the document is accepted only if
+    `certificate_json` writes it back: the frame tag, the element p·1,
+    `isZero` and the verdict must be the ones the ring implies.
     """
-    try:
-        return _parse_certificate(json.loads(doc) if isinstance(doc, str) else doc)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed certificate: {exc!r}") from None
+    if isinstance(doc, str):
+        try:
+            doc = json.loads(doc)
+        except ValueError as exc:
+            raise InvalidParameterError(f"malformed certificate: {exc!r}") from None
+    return read_back(doc, _parse_certificate, lambda pair: certificate_json(*pair), "certificate")
 
 
 def _parse_certificate(doc):
@@ -441,8 +451,6 @@ def _parse_certificate(doc):
     p = ring.p
     if not isinstance(doc["p"], int) or doc["p"] != p:
         raise InvalidParameterError(f"certificate p {doc['p']!r} differs from its ring's p {p}")
-    if doc.get("frame") != "standard":
-        raise InvalidParameterError(f"unknown frame tag {doc.get('frame')!r}")
     steps = []
     for i, raw in enumerate(doc["steps"], start=1):
         step = DerivationStep(
@@ -460,24 +468,8 @@ def _parse_certificate(doc):
         if step.derived.reduce() != step.target:
             raise InvalidParameterError(f"certificate step {i}: derived point misses its target")
         steps.append(step)
-    if not steps:
-        raise InvalidParameterError("certificate has no derivation steps")
-    element = ring.elem(doc["obstruction"]["element"])
-    if element != ring.p_one:
-        raise InvalidParameterError(f"certificate element {element} is not p·1 = {ring.p_one}")
-    if bool(doc["obstruction"]["isZero"]) != element.is_zero:
-        raise InvalidParameterError("certificate isZero flag contradicts its element")
-    verdict = doc["verdict"]
-    if verdict != (VERDICT_OPEN if element.is_zero else VERDICT_BLOCKED):
-        raise InvalidParameterError(f"certificate verdict {verdict!r} contradicts its element")
-    obstruction = Obstruction(
-        element=element,
-        derived=steps[-1].derived,
-        required=Frame(ring).images[2],
-        verdict=verdict,
-    )
     trace = PropagationTrace(ring=ring, steps=tuple(steps))
-    return trace, obstruction
+    return trace, _obstruction(trace)
 
 
 def _fmt_point(pt):

@@ -36,6 +36,7 @@ from .errors import (
     UndecidableCollinearityError,
     UnsupportedDimensionError,
     check_cap,
+    read_back,
 )
 from .finite_geometry import MAX_DIM, ProjPointFp, check_prime
 
@@ -172,7 +173,8 @@ class LocalRing:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(doc["kind"], doc["p"], doc["k"])
+        """The ring of a `to_json` document, read by `errors.read_back`."""
+        return read_back(doc, lambda d: cls(d["kind"], d["p"], d["k"]), cls.to_json, "ring")
 
 
 def ring_make(kind, p, k):
@@ -345,8 +347,10 @@ class ProjPointA:
 
     @classmethod
     def from_json(cls, doc):
-        ring = LocalRing.from_json(doc["ring"])
-        return cls(ring, doc["coords"])
+        """The point of a `to_json` document, read by `errors.read_back`."""
+        return read_back(
+            doc, lambda d: cls(LocalRing.from_json(d["ring"]), d["coords"]), cls.to_json, "point"
+        )
 
 
 def enumerate_lifts(x, ring):

@@ -27,28 +27,19 @@ from .errors import (
     InvalidBlowupError,
     InvalidParameterError,
     check_cap,
+    read_back,
 )
 from .finite_geometry import check_prime, enumerate_lines, enumerate_points, point_line_counts
+
+# Largest dimension of a class; the constructors refuse larger ones before any
+# polynomial is built, and VarietyClass refuses them too.
+DIM_MAX = 2500
 
 _JSON_INT_LIMIT = 2**53 - 1
 
 
 def _encode_int(n):
     return n if -_JSON_INT_LIMIT <= n <= _JSON_INT_LIMIT else str(n)
-
-
-def _decode_int(v):
-    """The inverse of `_encode_int`: an int, or the decimal string of a big one."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if isinstance(v, str):
-        try:
-            n = int(v)
-        except ValueError:
-            n = 0
-        if str(n) == v and abs(n) > _JSON_INT_LIMIT:
-            return n
-    raise InvalidParameterError(f"expected an integer or the string of a big one, got {v!r}")
 
 
 class LPolynomial:
@@ -214,6 +205,7 @@ class VarietyClass:
     def __post_init__(self):
         if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 0:
             raise InvalidParameterError(f"dimension must be a non-negative integer, got {self.dim!r}")
+        check_cap(self.dim, DIM_MAX, "class dimension")
         if self.cls.degree > self.dim:
             raise InvalidParameterError(
                 f"class degree {self.cls.degree} exceeds dimension {self.dim}"
@@ -236,19 +228,12 @@ class VarietyClass:
 
     @classmethod
     def from_json(cls, doc):
-        dim, coeffs = _decode_int(doc["dim"]), [_decode_int(c) for c in doc["coeffs"]]
-        if len(coeffs) != dim + 1:
-            raise InvalidParameterError(
-                f"dimension {dim} needs {dim + 1} coefficients, got {len(coeffs)}"
-            )
-        cellular = doc.get("cellular", True)
-        if not isinstance(cellular, bool):
-            raise InvalidParameterError(f"cellular must be true or false, got {cellular!r}")
-        return cls(name=doc["name"], dim=dim, cls=LPolynomial(coeffs), cellular=cellular)
+        """The class of a `to_json` document, read by `errors.read_back`; a
+        name that is not text is refused, since `str` writes it back changed."""
+        def build(d):
+            return cls(str(d["name"]), d["dim"], LPolynomial(d["coeffs"]), d.get("cellular", True))
 
-
-# Largest dimension of a class; larger ones are refused before any polynomial is built.
-DIM_MAX = 2500
+        return read_back(doc, build, cls.to_json, "variety class")
 
 
 def projective_space_class(n):
@@ -546,19 +531,16 @@ class InvariantsTable:
 
     @classmethod
     def from_json(cls, doc):
-        if doc["hodge_de_rham_sum_equal"] is not True:
-            raise InvalidParameterError("hodge_de_rham_sum_equal is true for every cellular class")
-        dim, betti = _decode_int(doc["dim"]), tuple(_decode_int(b) for b in doc["betti"])
-        if len(betti) != 2 * dim + 1:
-            raise InvalidParameterError(f"dimension {dim} needs {2 * dim + 1} Betti numbers")
-        return cls(
-            dim=dim,
-            betti=betti,
-            picard=_decode_int(doc["picard"]),
-            euler=_decode_int(doc["euler"]),
-            palindromic=doc["palindromic"],
-            nonnegative=doc["nonnegative"],
-        )
+        """The table of a `to_json` document, read by `errors.read_back`.
+
+        The table is rebuilt from its dimension and even Betti numbers, the
+        coefficients of the class, so every other entry must be the one
+        `invariants_table` computes.
+        """
+        def build(d):
+            return invariants_table(VarietyClass("table", d["dim"], LPolynomial(d["betti"][::2])))
+
+        return read_back(doc, build, cls.to_json, "invariants table")
 
 
 def invariants_table(v):

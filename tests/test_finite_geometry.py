@@ -402,6 +402,7 @@ def test_from_json_rejects_non_coplanar_plane():
     with pytest.raises(InvalidParameterError):
         IncidenceConfig.from_json(doc)
     doc["planes"] = [[0, 1, 2]]
+    doc["inclusions"] = [[0, 4], [1, 4], [2, 4]]
     assert IncidenceConfig.from_json(doc).planes[0].dual == ProjPointFp((0, 0, 0, 1), 2)
 
 

@@ -169,6 +169,7 @@ def test_dimension_cap():
         lambda: projective_space_class(10**8),
         lambda: quadric_class(DIM_MAX + 1),
         lambda: construction_one_class(projective_space_class(DIM_MAX // 2 + 1)),
+        lambda: VarietyClass(name="x", dim=DIM_MAX + 1, cls=LPolynomial.one()),
     ):
         with pytest.raises(BudgetExceededError):
             build()
@@ -283,6 +284,20 @@ def test_construction_one_needs_room():
 def test_construction_one_euler():
     assert construction_one_class(flag_class_typeA(3)).euler_number() == 48
     assert construction_one_class(quadric_class(3)).euler_number() == 24
+
+
+def test_construction_one_diagonal_counts_point_pairs_on_lines():
+    # Bl_diagonal(P^n x P^n) is {(x, y, L) : x, y on the line L}, so its
+    # rational points are the ordered point pairs of each rational line,
+    # counted here with no class arithmetic
+    counts = {}
+    for n in (2, 3):
+        v = construction_one_class(projective_space_class(n), center="diagonal")
+        for p in (2, 3, 5):
+            counts[n, p] = sum(len(line.points) ** 2 for line in enumerate_lines(n, p))
+            assert counts[n, p] == v.point_count(p)
+    assert counts[2, 2] == 63
+    assert counts[3, 5] == 29_016
 
 
 def test_rational_counts():
