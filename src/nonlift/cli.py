@@ -28,6 +28,50 @@ from .local_ring import ProjPointA, ring_make
 
 TEXT, JSON = "text", "json"
 
+# space kind -> (motive function name, integer options in spec order, help
+# line): one `motive` command and one `--space` kind each.  The function is
+# looked up when called, so a wrapper installed on `motive` sees the call.
+SPACES = {
+    "ps": ("projective_space_class", ("dim",), "projective space class"),
+    "quadric": ("quadric_class", ("dim",), "split quadric class"),
+    "grass": ("grassmannian_class", ("r", "m"), "Grassmannian class"),
+    "flag": ("flag_class_typeA", ("m",), "full flag variety class"),
+    "construction-two": ("construction_two_class", ("p",), "point-line blow-up of 3-space"),
+}
+
+_P = ("--p", {"type": int, "required": True})
+_DIM = ("--dim", {"type": int, "required": True, "choices": (2, 3)})
+_RING = ("--ring", {"default": "zpk:2", "help": "zpk:<k> or fpt:<k>"})
+
+# group -> (help line, command -> (help line, options)); every command also
+# takes --format and --out
+COMMANDS = {
+    "geom": ("configurations over a prime field", {
+        "count": ("point/line/plane counts", [_DIM, _P]),
+        "config": ("full incidence configuration", [_DIM, _P]),
+        "mp": ("the 2p+3 point propagation configuration", [_P]),
+    }),
+    "lift": ("lifting over a coefficient ring", {
+        "propagate": ("forced-lift certificate", [_P, _RING]),
+        "brute": ("exhaustive lift search",
+                  [_P, ("--budget", {"type": int, "default": lift_checker.DEFAULT_BUDGET}), _RING]),
+        "check": ("check a point map for collinearity", [
+            _P, ("--map", {"dest": "map_file", "help": "JSON assignments; default: trivial lift"}),
+            _RING,
+        ]),
+    }),
+    "motive": ("Lefschetz-class computations", {
+        **{kind: (help_line, [(f"--{name}", {"type": int, "required": True}) for name in options])
+           for kind, (_, options, help_line) in SPACES.items()},
+        "construction-one": ("self-map graph blow-up of a square", [
+            ("--space", {"required": True, "help": "e.g. flag:3 or quadric:3"}),
+            ("--center", {"choices": motive.CENTER_KINDS, "default": "frobenius-graph"}),
+        ]),
+        "invariants": ("Betti/Hodge table of a space",
+                       [("--space", {"required": True, "help": "e.g. construction-one:flag:3"})]),
+    }),
+}
+
 
 class _UsageError(Exception):
     pass
@@ -53,101 +97,56 @@ def parse_ring_spec(spec, p):
 def parse_space_spec(spec):
     """Parse a model-space spec into a VarietyClass.
 
-    Grammar: ps:<n> | quadric:<d> | grass:<r>,<m> | flag:<m>
-           | construction-one:<inner spec> | construction-two:<p>
+    Grammar: construction-one:<inner spec>, or a `SPACES` kind followed by
+    its integers, comma-separated: ps:<n> | quadric:<d> | grass:<r>,<m>
+    | flag:<m> | construction-two:<p>
     """
     head, sep, rest = spec.partition(":")
     if not sep:
         raise _UsageError(f"space spec needs a ':', got {spec!r}")
+    if head == "construction-one":
+        return motive.construction_one_class(parse_space_spec(rest))
+    if head not in SPACES:
+        raise _UsageError(f"unknown space kind {head!r}")
+    name, options, _ = SPACES[head]
+    numbers = rest.split(",")
     try:
-        if head == "ps":
-            return motive.projective_space_class(int(rest))
-        if head == "quadric":
-            return motive.quadric_class(int(rest))
-        if head == "grass":
-            r, m = (int(v) for v in rest.split(","))
-            return motive.grassmannian_class(r, m)
-        if head == "flag":
-            return motive.flag_class_typeA(int(rest))
-        if head == "construction-one":
-            return motive.construction_one_class(parse_space_spec(rest))
-        if head == "construction-two":
-            return motive.construction_two_class(int(rest))
+        if len(numbers) != len(options):
+            raise ValueError
+        return getattr(motive, name)(*map(int, numbers))
     except ValueError:
         raise _UsageError(f"bad numbers in space spec {spec!r}") from None
-    raise _UsageError(f"unknown space kind {head!r}")
 
 
-def build_parser():
-    parser = _Parser(prog="nonlift", description=__doc__.splitlines()[0])
-    top = parser.add_subparsers(dest="group", required=True)
+def _parse(argv):
+    """The arguments of one command, read by the one parser built for it.
 
-    def common(sub, *, ring=False):
-        if ring:
-            sub.add_argument("--ring", default="zpk:2", help="zpk:<k> or fpt:<k>")
-        sub.add_argument("--format", choices=(TEXT, JSON), default=TEXT)
-        sub.add_argument("--out", help="also write the output bytes to this file")
-
-    geom = top.add_parser("geom", help="configurations over a prime field").add_subparsers(
-        dest="command", required=True
-    )
-    g_count = geom.add_parser("count", help="point/line/plane counts")
-    g_count.add_argument("--dim", type=int, required=True, choices=(2, 3))
-    g_count.add_argument("--p", type=int, required=True)
-    common(g_count)
-    g_config = geom.add_parser("config", help="full incidence configuration")
-    g_config.add_argument("--dim", type=int, required=True, choices=(2, 3))
-    g_config.add_argument("--p", type=int, required=True)
-    common(g_config)
-    g_mp = geom.add_parser("mp", help="the 2p+3 point propagation configuration")
-    g_mp.add_argument("--p", type=int, required=True)
-    common(g_mp)
-
-    lift = top.add_parser("lift", help="lifting over a coefficient ring").add_subparsers(
-        dest="command", required=True
-    )
-    l_prop = lift.add_parser("propagate", help="forced-lift certificate")
-    l_prop.add_argument("--p", type=int, required=True)
-    common(l_prop, ring=True)
-    l_brute = lift.add_parser("brute", help="exhaustive lift search")
-    l_brute.add_argument("--p", type=int, required=True)
-    l_brute.add_argument("--budget", type=int, default=lift_checker.DEFAULT_BUDGET)
-    common(l_brute, ring=True)
-    l_check = lift.add_parser("check", help="check a point map for collinearity")
-    l_check.add_argument("--p", type=int, required=True)
-    l_check.add_argument("--map", dest="map_file", help="JSON assignments; default: trivial lift")
-    common(l_check, ring=True)
-
-    mot = top.add_parser("motive", help="Lefschetz-class computations").add_subparsers(
-        dest="command", required=True
-    )
-    m_ps = mot.add_parser("ps", help="projective space class")
-    m_ps.add_argument("--dim", type=int, required=True)
-    common(m_ps)
-    m_quad = mot.add_parser("quadric", help="split quadric class")
-    m_quad.add_argument("--dim", type=int, required=True)
-    common(m_quad)
-    m_grass = mot.add_parser("grass", help="Grassmannian class")
-    m_grass.add_argument("--r", type=int, required=True)
-    m_grass.add_argument("--m", type=int, required=True)
-    common(m_grass)
-    m_flag = mot.add_parser("flag", help="full flag variety class")
-    m_flag.add_argument("--m", type=int, required=True)
-    common(m_flag)
-    m_c1 = mot.add_parser("construction-one", help="self-map graph blow-up of a square")
-    m_c1.add_argument("--space", required=True, help="e.g. flag:3 or quadric:3")
-    m_c1.add_argument(
-        "--center", choices=motive.CENTER_KINDS, default="frobenius-graph"
-    )
-    common(m_c1)
-    m_c2 = mot.add_parser("construction-two", help="point-line blow-up of 3-space")
-    m_c2.add_argument("--p", type=int, required=True)
-    common(m_c2)
-    m_inv = mot.add_parser("invariants", help="Betti/Hodge table of a space")
-    m_inv.add_argument("--space", required=True, help="e.g. construction-one:flag:3")
-    common(m_inv)
-
-    return parser
+    The first two words pick the group and the command; `-h` or `--help`
+    in their place lists that level's entries and exits 0.
+    """
+    words = sys.argv[1:] if argv is None else list(argv)
+    prog, entries = "nonlift", COMMANDS
+    for i, (level, usage) in enumerate((("group", "<group> <command>"), ("command", "<command>"))):
+        word = words[i] if i < len(words) else None
+        if word in ("-h", "--help"):
+            width = max(map(len, entries))
+            print(f"usage: {prog} {usage} [options]\n\n{level}s:")
+            for name, (line, _) in entries.items():
+                print(f"  {name:<{width}}  {line}")
+            raise SystemExit(0)
+        if word not in entries:
+            found = f"missing {level}" if word is None else f"unknown {level} {word!r}"
+            raise _UsageError(f"{found}; choose from {', '.join(entries)}")
+        prog += " " + word
+        help_line, entries = entries[word]
+    parser = _Parser(prog=prog, description=help_line)
+    for flag, options in entries:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--format", choices=(TEXT, JSON), default=TEXT)
+    parser.add_argument("--out", help="also write the output bytes to this file")
+    args = parser.parse_args(words[2:])
+    args.group, args.command = words[:2]
+    return args
 
 
 def _class_text(v):
@@ -279,18 +278,11 @@ def _run_lift(args):
 
 
 def _run_motive(args):
-    if args.command == "ps":
-        v = motive.projective_space_class(args.dim)
-    elif args.command == "quadric":
-        v = motive.quadric_class(args.dim)
-    elif args.command == "grass":
-        v = motive.grassmannian_class(args.r, args.m)
-    elif args.command == "flag":
-        v = motive.flag_class_typeA(args.m)
+    if args.command in SPACES:
+        name, options, _ = SPACES[args.command]
+        v = getattr(motive, name)(*(getattr(args, option) for option in options))
     elif args.command == "construction-one":
         v = motive.construction_one_class(parse_space_spec(args.space), center=args.center)
-    elif args.command == "construction-two":
-        v = motive.construction_two_class(args.p)
     else:  # invariants
         v = parse_space_spec(args.space)
         table = motive.invariants_table(v)
@@ -312,26 +304,17 @@ def _run_motive(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"nonlift: error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help and friends
-        return 0 if exc.code in (0, None) else 1
-    try:
-        if args.group == "geom":
-            text, code = _run_geom(args)
-        elif args.group == "lift":
-            text, code = _run_lift(args)
-        else:
-            text, code = _run_motive(args)
+        args = _parse(argv)
+        run = {"geom": _run_geom, "lift": _run_lift, "motive": _run_motive}[args.group]
+        text, code = run(args)
     except (_UsageError, NonliftError) as exc:
         print(f"nonlift: error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # --help at any level
+        return 0 if exc.code in (0, None) else 1
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "wb") as fh:
                 fh.write((text + "\n").encode("utf-8"))

@@ -370,9 +370,13 @@ class IncidenceConfig:
 
         Each line is the join of its first two listed members, each plane the
         one through its members, and `from_members` derives everything else.
+        Before any line is joined, p must pass the cap every writer applies,
+        and the lines may hold at most INCLUSIONS_MAX points in all.
         """
         def build(d):
             p = check_prime(d["p"])
+            _check_config_size(d["dim"], p)
+            check_cap(len(d["lines"]) * (p + 1), INCLUSIONS_MAX, "configuration line points")
             points = [ProjPointFp(c, p) for c in d["points"]]
             idx = {pt: i for i, pt in enumerate(points)}
             lines = [line_through(*(points[i] for i in members[:2])) for members in d["lines"]]
@@ -391,11 +395,15 @@ class IncidenceConfig:
 
         Lists every point of `points` on each line and plane, then every
         line lying in each plane; line members outside `points` are left out.
-        The points must be distinct and of one space.
+        The points must be distinct and of one space, the lines distinct (by
+        their first two points) and the planes distinct (by their duals).
         """
         idx = {pt: i for i, pt in enumerate(points)}
         if len(idx) != len(points) or len({(pt.p, pt.dim) for pt in points}) != 1:
             raise InvalidParameterError("configuration points must be distinct, in one space")
+        if (len({line.points[:2] for line in lines}) != len(lines)
+                or len({plane.dual for plane in planes}) != len(planes)):
+            raise InvalidParameterError("configuration lines and planes must be distinct")
         line_off = len(points)
         plane_off = line_off + len(lines)
         inclusions = [

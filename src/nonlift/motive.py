@@ -29,7 +29,7 @@ from .errors import (
     check_cap,
     read_back,
 )
-from .finite_geometry import check_prime, enumerate_lines, enumerate_points, point_line_counts
+from .finite_geometry import check_prime, enumerate_lines, point_line_counts
 
 # Largest dimension of a class; the constructors refuse larger ones before any
 # polynomial is built, and VarietyClass refuses them too.
@@ -412,13 +412,17 @@ def construction_two_class(p):
 
 
 def point_count_oracle_construction_two(p, q):
-    """Stratified rational point count of the configuration blow-up.
+    """Rational point count of the configuration blow-up, by counting lines.
 
-    Counts by actual enumeration (never by the class polynomial): the
-    point blow-up replaces each rational center by a plane's worth of
-    points, the line blow-up replaces each strict transform (a line's
-    worth) by a line-bundle's worth.  Only q = p is meaningful here, since
-    the centers are the F_p-rational strata.
+    Never touches the class polynomial or the blow-up arithmetic.  Every
+    F_p-point of P^3 is a center, so every F_p-point of the blow-up lies
+    over one: in the exceptional plane of a rational point x, at the
+    direction of exactly one rational line L through x.  That direction is
+    the point of L's strict transform over x, and blowing up the strict
+    transform puts a P^1 of normal directions there.  So each pair (L, x)
+    with x on L carries p+1 points, and the count is the sum of |L|·(p+1)
+    over `enumerate_lines(3, p)`.  Only q = p is meaningful here, since the
+    centers are the F_p-rational strata.
     """
     check_prime(p)
     check_prime(q)
@@ -426,14 +430,7 @@ def point_count_oracle_construction_two(p, q):
         raise InvalidParameterError(
             f"oracle only counts over the definition field: q={q} differs from p={p}"
         )
-    ambient_pts = len(enumerate_points(3, q))
-    center_pts = len(enumerate_points(3, p))
-    plane_pts = len(enumerate_points(2, q))
-    line_pts = len(enumerate_points(1, q))
-    n_lines = len(enumerate_lines(3, p))
-    after_points = (ambient_pts - center_pts) + center_pts * plane_pts
-    after_lines = after_points - n_lines * line_pts + n_lines * line_pts * line_pts
-    return after_lines
+    return sum(len(line.points) * (p + 1) for line in enumerate_lines(3, p))
 
 
 def _proj_tuples(n, q):

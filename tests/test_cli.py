@@ -1,8 +1,10 @@
 """Command-line behavior: output text, exit codes, determinism, --out."""
 
+import argparse
 import hashlib
 import itertools
 import json
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ import time
 import pytest
 
 from nonlift import IncidenceConfig, certificate_parse, mp_configuration
-from nonlift.cli import main
+from nonlift.cli import COMMANDS, SPACES, main
 
 
 def run(capsys, *args):
@@ -396,6 +398,54 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "geom", "--help")[0] == 0
+
+
+def test_help_at_every_level_lists_the_table(capsys):
+    assert sum(len(commands) for _, commands in COMMANDS.values()) == 13
+    levels = [((), COMMANDS)] + [((group,), commands) for group, (_, commands) in COMMANDS.items()]
+    for words, entries in levels:
+        for flag in ("--help", "-h"):
+            code, out, err = run(capsys, *words, flag)
+            assert (code, err) == (0, ""), words
+            for name, (help_line, _) in entries.items():
+                assert re.search(rf"^  {re.escape(name)} +{re.escape(help_line)}$", out, re.M), name
+    for group, (_, commands) in COMMANDS.items():
+        for command in commands:
+            code, out, _ = run(capsys, group, command, "--help")
+            assert code == 0 and out.startswith(f"usage: nonlift {group} {command} "), command
+
+
+def test_missing_or_unknown_word_exits_1(capsys):
+    for args in [(), ("x",), ("--p", "2"), ("geom",), ("geom", "x"), ("lift", "--p", "2"),
+                 ("motive", "construction"), ("geom", "ps", "--dim", "2")]:
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, ""), args
+        assert "error" in err, args
+
+
+def test_space_commands_match_their_invariants_class(capsys):
+    values = {"dim": 3, "r": 2, "m": 4, "p": 2}
+    assert set(SPACES) <= set(COMMANDS["motive"][1])
+    for kind, (_, options, _) in SPACES.items():
+        flags = [word for option in options for word in (f"--{option}", str(values[option]))]
+        code, out, _ = run(capsys, "motive", kind, *flags)
+        spec = f"{kind}:{','.join(str(values[option]) for option in options)}"
+        _, table, _ = run(capsys, "motive", "invariants", "--space", spec)
+        assert code == 0 and out.splitlines() == table.splitlines()[:5], kind
+
+
+def test_a_run_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "motive", "ps", "--dim", "2")[0] == 0
+    assert run(capsys, "lift", "propagate", "--p", "2")[0] == 2
+    assert len(built) == 2
 
 
 def test_console_entry_point():

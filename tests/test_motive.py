@@ -323,9 +323,10 @@ def test_construction_two_frozen():
 
 
 def test_construction_two_oracle():
-    for p in (2, 3):
-        v = construction_two_class(p)
-        assert v.point_count(p) == point_count_oracle_construction_two(p, p)
+    # the oracle counts |L|·(p+1) over the rational lines; the class does blow-up arithmetic
+    for p, count in ((2, 315), (3, 2080), (5, 29_016), (7, 182_400)):
+        assert point_count_oracle_construction_two(p, p) == count
+        assert construction_two_class(p).point_count(p) == count
     assert point_count_oracle_construction_two(2, 2) == 315
     assert point_count_oracle_construction_two(3, 3) == 2080
     with pytest.raises(InvalidParameterError):

@@ -9,6 +9,7 @@ refuse it with InvalidParameterError.
 
 import copy
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from nonlift import (
     ring_make,
 )
 from nonlift.errors import InvalidParameterError
+from nonlift.finite_geometry import INCLUSIONS_MAX, point_line_counts
 
 F3T = ring_make("fpt", 3, 2)
 BIG = VarietyClass(name="big", dim=2, cls=LPolynomial((1, 2**60, 1)))
@@ -160,3 +162,36 @@ def test_configuration_points_are_distinct():
     pts = mp_configuration(3).points
     with pytest.raises(InvalidParameterError):
         IncidenceConfig.from_members(pts + pts[:1], ())
+
+
+def test_configuration_lines_and_planes_are_distinct():
+    cfg = mp_configuration(3)
+    with pytest.raises(InvalidParameterError):
+        IncidenceConfig.from_members(cfg.points, cfg.lines + cfg.lines[:1])
+    # the document of that configuration once read back with 13 lines, not 12
+    first = len(cfg.points)
+    repeat = tuple((child, first + len(cfg.lines)) for child, parent in cfg.inclusions
+                   if parent == first)
+    doc = IncidenceConfig(cfg.dim, cfg.p, cfg.points, cfg.lines + cfg.lines[:1], (),
+                          cfg.inclusions + repeat).to_json()
+    with pytest.raises(InvalidParameterError):
+        IncidenceConfig.from_json(doc)
+    space = incidence_config(3, 2)
+    with pytest.raises(InvalidParameterError):
+        IncidenceConfig.from_members(space.points, space.lines, space.planes + space.planes[:1])
+
+
+def test_configuration_size_is_capped_before_any_line_is_joined():
+    # one listed line over F_100003 was once built with all 100,004 points (seconds)
+    doc = {"dim": 2, "p": 100003, "points": [[0, 0, 1], [0, 1, 0]], "lines": [[0, 1]],
+           "planes": [], "inclusions": [[0, 2], [1, 2]]}
+    # 100,000 copies of one line at p = 3: 400,000 line points
+    many = dict(mp_configuration(3).to_json(), lines=[[0, 1]] * 100_000)
+    for bad in (doc, many):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="exceeds the supported maximum"):
+            IncidenceConfig.from_json(bad)
+        assert time.perf_counter() - start < 0.5
+    # the largest documents nonlift writes stay inside the cap: P^2(F_61), P^3(F_7)
+    assert point_line_counts(2, 61)[1] * 62 == 234_546 <= INCLUSIONS_MAX
+    assert point_line_counts(3, 7)[1] * 8 <= INCLUSIONS_MAX
