@@ -99,13 +99,16 @@ def parse_space_spec(spec):
 
     Grammar: construction-one:<inner spec>, or a `SPACES` kind followed by
     its integers, comma-separated: ps:<n> | quadric:<d> | grass:<r>,<m>
-    | flag:<m> | construction-two:<p>
+    | flag:<m> | construction-two:<p>.  Prefixes are counted in one pass;
+    dim y >= 2 doubles with each, so the dimension cap stops a deep nest.
     """
+    prefix, nest = "construction-one:", 0
+    while spec.startswith(prefix, nest * len(prefix)):
+        nest += 1
+    spec = spec[nest * len(prefix):]
     head, sep, rest = spec.partition(":")
     if not sep:
         raise _UsageError(f"space spec needs a ':', got {spec!r}")
-    if head == "construction-one":
-        return motive.construction_one_class(parse_space_spec(rest))
     if head not in SPACES:
         raise _UsageError(f"unknown space kind {head!r}")
     name, options, _ = SPACES[head]
@@ -113,9 +116,12 @@ def parse_space_spec(spec):
     try:
         if len(numbers) != len(options):
             raise ValueError
-        return getattr(motive, name)(*map(int, numbers))
+        v = getattr(motive, name)(*map(int, numbers))
     except ValueError:
         raise _UsageError(f"bad numbers in space spec {spec!r}") from None
+    for _ in range(nest):
+        v = motive.construction_one_class(v)
+    return v
 
 
 def _parse(argv):

@@ -317,10 +317,9 @@ def line_from_dual(d):
 
 @dataclass(frozen=True)
 class PlaneFp:
-    """A plane of P^3(F_p): its dual point plus the sorted member indices."""
+    """A plane of P^3(F_p), given by its dual point."""
 
     dual: ProjPointFp
-    point_indices: tuple
 
 
 @dataclass(frozen=True)
@@ -349,18 +348,18 @@ class IncidenceConfig:
         return len(self.points) + len(self.lines)
 
     def to_json(self):
-        # a line's members are the points its point-line inclusions name
-        off, end = self.line_offset, self.plane_offset
-        members = [[] for _ in self.lines]
+        # a line's or plane's members are the points its inclusions name
+        off = self.line_offset
+        members = [[] for _ in (*self.lines, *self.planes)]
         for child, parent in self.inclusions:
-            if child < off <= parent < end:
+            if child < off <= parent:
                 members[parent - off].append(child)
         return {
             "dim": self.dim,
             "p": self.p,
             "points": [list(pt.coords) for pt in self.points],
-            "lines": [sorted(m) for m in members],
-            "planes": [list(pl.point_indices) for pl in self.planes],
+            "lines": [sorted(m) for m in members[: len(self.lines)]],
+            "planes": [sorted(m) for m in members[len(self.lines):]],
             "inclusions": [list(pair) for pair in self.inclusions],
         }
 
@@ -378,13 +377,11 @@ class IncidenceConfig:
             _check_config_size(d["dim"], p)
             check_cap(len(d["lines"]) * (p + 1), INCLUSIONS_MAX, "configuration line points")
             points = [ProjPointFp(c, p) for c in d["points"]]
-            idx = {pt: i for i, pt in enumerate(points)}
             lines = [line_through(*(points[i] for i in members[:2])) for members in d["lines"]]
-            planes = []
-            for members in d["planes"]:
-                pts = [points[i] for i in members]
-                indices = tuple(sorted({idx[pt] for pt in pts}))
-                planes.append(PlaneFp(_plane_dual_from_members(pts, p), indices))
+            planes = [
+                PlaneFp(_plane_dual_from_members([points[i] for i in members], p))
+                for members in d["planes"]
+            ]
             return cls.from_members(points, lines, planes)
 
         return read_back(doc, build, cls.to_json, "configuration")
@@ -412,10 +409,14 @@ class IncidenceConfig:
             for pt in line.points
             if pt in idx
         ]
-        for pi, plane in enumerate(planes):
-            inclusions.extend((i, plane_off + pi) for i in plane.point_indices)
-        for pi, plane in enumerate(planes):
-            member_set = set(plane.point_indices)
+        on_plane = [
+            [i for i, pt in enumerate(points) if _dot(plane.dual.coords, pt.coords, pt.p) == 0]
+            for plane in planes
+        ]
+        for pi, members in enumerate(on_plane):
+            inclusions.extend((i, plane_off + pi) for i in members)
+        for pi, members in enumerate(on_plane):
+            member_set = set(members)
             for li, line in enumerate(lines):
                 a, b = line.points[0], line.points[1]
                 if idx[a] in member_set and idx[b] in member_set:
@@ -446,11 +447,7 @@ def incidence_config(n, p):
     """The full incidence configuration of P^n(F_p), n in {2, 3}."""
     _check_config_size(n, p)
     points = enumerate_points(n, p)
-    planes = []
-    if n == 3:
-        for d in points:
-            members = tuple(i for i, pt in enumerate(points) if _dot(d.coords, pt.coords, p) == 0)
-            planes.append(PlaneFp(d, members))
+    planes = [PlaneFp(d) for d in points] if n == 3 else []
     return IncidenceConfig.from_members(points, enumerate_lines(n, p), planes)
 
 

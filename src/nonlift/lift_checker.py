@@ -58,9 +58,9 @@ VERDICT_OPEN = "liftable-not-excluded"
 # Size caps, checked before anything is enumerated.  The search and the
 # collinearity check first list all (p^2+p+1)·C(p+1,3) collinear triples of
 # P^2(F_p), 66,612 at p = 13; the search also builds its lifts up front:
-# (p^2+p-3)·p^(2(k-1)) + 4 with the standard frame, (p^2+p+1)·p^(2(k-1))
-# over every frame; propagation stores 2p steps.  The ring length is capped
-# by local_ring.K_MAX.
+# (p^2+p+1-n)·p^(2(k-1)) + n with n points pinned, 4 for the standard frame
+# and 0 over every frame; propagation stores 2p steps.  The ring length is
+# capped by local_ring.K_MAX.
 PLANE_P_MAX = 13
 LIFTS_MAX = 50_000
 PROPAGATE_P_MAX = 5000
@@ -295,38 +295,29 @@ class SearchResult:
 DEFAULT_BUDGET = 10**7
 
 
-def _search(ring, budget, every_frame):
-    """The free-point walk, run once per anchor-image tuple: the standard
-    frame, or with `every_frame` each tuple of the anchors' lifts.  Triples
-    and free-point lifts are built once; anchor choices count no nodes, and
-    `budget` bounds the total over all frames.  Returns (maps, nodes).
+def _search(ring, budget, pinned):
+    """The walk over the points that `pinned` (residue point -> image) leaves
+    free: the frame anchors first, then the rest in `enumerate_points` order.
+    Every candidate lift tried counts one node.  Returns (maps, nodes).
     """
     p = ring.p
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise InvalidParameterError(f"budget must be a positive integer, got {budget!r}")
     check_cap(p, PLANE_P_MAX, "prime p")
     per_point = p ** (2 * (ring.k - 1))
-    anchor_lifts = 4 * (per_point if every_frame else 1)
-    check_cap((p * p + p - 3) * per_point + anchor_lifts, LIFTS_MAX, "lift count")
+    check_cap((p * p + p + 1 - len(pinned)) * per_point + len(pinned), LIFTS_MAX, "lift count")
 
-    # the plane has p^2+p+1 >= 7 points and the frame fixes 4, so `free`
-    # is never empty
-    anchors = frame_anchors(p)
-    free = [pt for pt in enumerate_points(2, p) if pt not in anchors]
-    rank = {pt: -1 for pt in anchors}
-    rank.update({pt: m for m, pt in enumerate(free)})
+    walk = dict.fromkeys((*frame_anchors(p), *enumerate_points(2, p)))  # anchors once, first
+    free = [pt for pt in walk if pt not in pinned]
+    rank = {pt: m for m, pt in enumerate(free)}
     completed = [[] for _ in free]
     for triple in collinear_triples(p):
-        r = max(rank[x] for x in triple)
+        r = max(rank.get(x, -1) for x in triple)
         if r >= 0:
             completed[r].append(triple)
     lifts = [enumerate_lifts(pt, ring) for pt in free]
-    if every_frame:
-        frames = itertools.product(*(enumerate_lifts(a, ring) for a in anchors))
-    else:
-        frames = (Frame(ring).images,)
 
-    assignment = {}
+    assignment = dict(pinned)
     found = []
     nodes = 0
 
@@ -351,9 +342,7 @@ def _search(ring, budget, every_frame):
                 extend(m + 1)
         assignment.pop(pt, None)
 
-    for images in frames:
-        assignment.update(zip(anchors, images))
-        extend(0)
+    extend(0)
     return tuple(found), nodes
 
 
@@ -367,18 +356,17 @@ def brute_force_lift_search(*args, budget=DEFAULT_BUDGET):
     against the budget.
     """
     ring = _ring_of("brute_force_lift_search", args)
-    maps, nodes = _search(ring, budget, every_frame=False)
+    maps, nodes = _search(ring, budget, Frame(ring).assignment())
     return SearchResult(maps=maps, nodes_explored=nodes, budget=budget)
 
 
 def search_over_all_frames(*args, budget=DEFAULT_BUDGET):
-    """Spot check: the same search for every choice of frame anchor lifts.
-
-    Returns (maps, nodes) aggregated over all frames; `budget` bounds the
-    total, and anchor choices count no nodes.  Desk scale only; at p=2 over
-    Z/4 this is 4^4 frames of at most 4^3 assignments each.
+    """Spot check: the same search with no frame pinned, so anchor choices
+    count as nodes too.  Returns (maps, nodes), grouped by anchor lifts in
+    `itertools.product` order.  Desk scale only; at p=2 over Z/4 this is
+    4^4 frames of at most 4^3 assignments each.
     """
-    return _search(_ring_of("search_over_all_frames", args), budget, every_frame=True)
+    return _search(_ring_of("search_over_all_frames", args), budget, {})
 
 
 def extract_used_configuration(trace):

@@ -388,6 +388,10 @@ def test_usage_errors_exit_1(capsys):
         ("geom", "config", "--dim", "3", "--p", "11"),
         ("geom", "mp", "--p", "67"),
         ("geom", "mp", "--p", "211"),
+        # deep nests: the first refused by the center check, the second by
+        # the dimension cap at its second step
+        ("motive", "invariants", "--space", "construction-one:" * 1200 + "ps:1"),
+        ("motive", "invariants", "--space", "construction-one:" * 1200 + "ps:1000"),
     ]
     for args in cases:
         code, _, err = run(capsys, *args)

@@ -289,8 +289,8 @@ def test_incidence_config_space():
     assert len(line_plane) == 15 * 7
     assert len(cfg.inclusions) == 315
     # plane duality: members are exactly the points annihilated by the dual
-    for plane in cfg.planes:
-        members = {cfg.points[i] for i in plane.point_indices}
+    for pi, plane in enumerate(cfg.planes):
+        members = {cfg.points[i] for i, j in point_plane if j == cfg.plane_offset + pi}
         filtered = {
             pt
             for pt in cfg.points
@@ -404,6 +404,19 @@ def test_from_json_rejects_non_coplanar_plane():
     doc["planes"] = [[0, 1, 2]]
     doc["inclusions"] = [[0, 4], [1, 4], [2, 4]]
     assert IncidenceConfig.from_json(doc).planes[0].dual == ProjPointFp((0, 0, 0, 1), 2)
+
+
+def test_from_json_derives_line_and_plane_members():
+    # a document that leaves one member out of a line or a plane, and drops
+    # its inclusion to match, is refused: members are derived, never trusted
+    cfg = incidence_config(3, 2)
+    for key, parent in (("lines", cfg.line_offset), ("planes", cfg.plane_offset)):
+        doc = cfg.to_json()
+        dropped = doc[key][0].pop()
+        doc["inclusions"].remove([dropped, parent])
+        assert len(doc["inclusions"]) == 314
+        with pytest.raises(InvalidParameterError, match="writer gives back"):
+            IncidenceConfig.from_json(doc)
 
 
 def test_lines_sortable_and_hashable():

@@ -5,6 +5,7 @@ counts, node totals and verdicts.  The search results double as the
 independent oracle for the propagation verdicts.
 """
 
+import itertools
 import json
 import time
 
@@ -241,12 +242,27 @@ def test_search_validation():
 
 
 def test_search_over_all_frames_z4():
-    # no choice of anchor lifts admits a map: 4^4 frames, all blocked
+    # no choice of anchor lifts admits a map: 4^4 frames, all blocked; the
+    # 4 + 4^2 + 4^3 + 4^4 = 340 anchor choices count as nodes too
     maps, nodes = search_over_all_frames(Z4)
     assert maps == ()
-    assert nodes == 3072
+    assert nodes == 3412
     lifts_per_anchor = [len(enumerate_lifts(a, Z4)) for a in frame_anchors(2)]
     assert lifts_per_anchor == [4, 4, 4, 4]
+
+
+def test_search_over_all_frames_map_order():
+    # over F_2[t]/t^2 every frame admits exactly one map, and the maps come
+    # in itertools.product order of the four anchors' lifts
+    maps, _ = search_over_all_frames(F2T)
+    assert len(maps) == 256
+    assert len({frozenset(m.items()) for m in maps}) == 256
+    for m in maps:
+        assert check_collinearity_preserving(m, F2T) == ()
+    anchors = frame_anchors(2)
+    assert [tuple(m[a] for a in anchors) for m in maps] == list(
+        itertools.product(*(enumerate_lifts(a, F2T) for a in anchors))
+    )
 
 
 def test_search_over_all_frames_budget_is_one_total():
@@ -459,7 +475,7 @@ def test_entry_points_take_p_only_when_it_is_the_rings():
     assert check_collinearity_preserving(trivial_lift_map(Z4), 2, Z4) == (
         tuple(sorted(FANO_TRIPLE)),
     )
-    assert search_over_all_frames(2, Z4) == ((), 3072)
+    assert search_over_all_frames(2, Z4) == ((), 3412)
     assert propagate_forced_lift(2, Z4)[1] == propagate_forced_lift(Z4)[1]
     # and a p the ring does not carry is refused, never mapped into the ring
     for call in (
