@@ -6,14 +6,16 @@ coefficient ring, `motive` for Lefschetz-class computations.  Every command
 prints to stdout, optionally mirrors the exact same bytes to --out, and is
 fully deterministic, so reruns are byte-identical.
 
-Exit status: 0 on success, 1 on usage or domain errors, 2 when
-`lift propagate` certifies the non-liftable verdict.
+Exit status: 0 on success, 1 on usage or domain errors or when the reader
+closes stdout early, 2 when `lift propagate` certifies the non-liftable
+verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import lift_checker, motive
@@ -319,7 +321,12 @@ def main(argv=None):
         return 1
     except SystemExit as exc:  # --help at any level
         return 0 if exc.code in (0, None) else 1
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if args.out:
         try:
             with open(args.out, "wb") as fh:

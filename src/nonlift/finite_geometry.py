@@ -2,9 +2,11 @@
 
 Points of P^n(F_p) are kept in a canonical form, scaling the first nonzero
 coordinate to 1, which makes representatives unique, hashable, and totally
-ordered by their coordinate tuples.  Lines are stored extensionally as their
-p+1 member points in sorted order; planes of P^3 are represented through
-their dual points.  Everything is small exact integer arithmetic.
+ordered by their coordinate tuples.  Each point also has an index, its rank
+in that order, computed from its coordinates.  Lines are stored
+extensionally as the sorted indices of their p+1 member points; planes of
+P^3 are represented through their dual points.  Point objects are built only
+where a caller reads them.  Everything is small exact integer arithmetic.
 
 The counts work out to 1 + p + ... + p^n points in P^n, the same number of
 planes as points in P^3 by duality, and 1 + p + 2p^2 + p^3 + p^4 lines in
@@ -16,6 +18,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 
 from .errors import (
     DegenerateSpanError,
@@ -106,68 +110,171 @@ class ProjPointFp:
         return f"({':'.join(str(c) for c in self.coords)})/F{self.p}"
 
 
-def _dot(u, v, p):
-    return sum(a * b for a, b in zip(u, v)) % p
+def _point(coords, p):
+    """A ProjPointFp from a coordinate tuple already in canonical form, unchecked."""
+    pt = object.__new__(ProjPointFp)
+    object.__setattr__(pt, "p", p)
+    object.__setattr__(pt, "coords", coords)
+    return pt
+
+
+class _Space:
+    """P^n(F_p) with its points numbered in `enumerate_points` order.
+
+    A canonical point's index is the offset of its pivot position (the count
+    of points with more leading zeros) plus its tail read in base p.  Point
+    objects are built the first time they are read, each at most once.
+    """
+
+    __slots__ = ("n", "p", "_offset", "_weight", "_built")
+
+    def __init__(self, n, p):
+        self.n, self.p = n, p
+        self._offset = [(p ** (n - c) - 1) // (p - 1) for c in range(n + 1)]
+        self._weight = [p ** (n - c) for c in range(n + 1)]
+        self._built = {}
+
+    def index(self, coords):
+        pivot = next(c for c, v in enumerate(coords) if v)
+        w = self._weight
+        return self._offset[pivot] + sum(coords[c] * w[c] for c in range(pivot + 1, self.n + 1))
+
+    def coords(self, i):
+        pivot = next(c for c, off in enumerate(self._offset) if off <= i)
+        tail = i - self._offset[pivot]
+        return (0,) * pivot + (1,) + tuple(tail // w % self.p for w in self._weight[pivot + 1:])
+
+    def point(self, i):
+        pt = self._built.get(i)
+        if pt is None:
+            pt = self._built[i] = _point(self.coords(i), self.p)
+        return pt
+
+    def span(self, rows):
+        """Sorted indices of the points spanned by reduced row echelon `rows`.
+
+        First those spanned by rows[1:], then those with rows[0]'s pivot:
+        rows[0] plus a combination of the middle rows plus t times the last.
+        The middle rows' pivot columns read the combination and the last
+        row's reads t, so these come in ascending order too.
+        """
+        if len(rows) == 1:
+            return [self.index(rows[0])]
+        p = self.p
+        head, *mid, last = rows
+        out = self.span(rows[1:])
+        for ts in itertools.product(range(p), repeat=len(mid)):
+            row = head
+            for t, m in zip(ts, mid):
+                row = [(a + t * b) % p for a, b in zip(row, m)]
+            out += self._ray(row, last)
+        return out
+
+    def _ray(self, r0, r1):
+        """Indices of r0 + t*r1 for t = 0, ..., p-1, for echelon rows r0 and r1.
+
+        Only the columns after r1's pivot where r1 is nonzero need reducing
+        mod p; r1's pivot column reads t and the others keep r0's entries.
+        """
+        p, w = self.p, self._weight
+        a, b = r0.index(1), r1.index(1)
+        start = self._offset[a] + sum(
+            x * w[c] for c, (x, y) in enumerate(zip(r0, r1)) if c > a and not y
+        )
+        ray = range(start, start + p * w[b], w[b])
+        for c in range(b + 1, self.n + 1):
+            if r1[c]:
+                x, y, wc = r0[c], r1[c], w[c]
+                ray = list(map(add, ray, [(x + t * y) % p * wc for t in range(p)]))
+        return ray
+
+    def line(self, u, v):
+        """The line through the independent coordinate vectors u and v."""
+        return LineFp._of(self, tuple(self.span(_row_reduce([u, v], self.p)[0])))
+
+    def annihilator(self, rows):
+        """Sorted indices of the points x with r . x = 0 for every row r."""
+        return tuple(self.span(_row_reduce(_kernel(rows, self.p), self.p)[0]))
 
 
 class LineFp:
-    """A line of P^n(F_p), stored extensionally as its p+1 sorted points."""
+    """A line of P^n(F_p): the sorted indices of its p+1 points.
 
-    __slots__ = ("p", "points")
+    `indices` are positions in `enumerate_points(n, p)` order, so they sort
+    as the points do; `points` builds the point objects when first read.
+    Built from points, a line checks that every one of them lies on the
+    join of two of them.
+    """
+
+    __slots__ = ("p", "indices", "_space", "_points")
 
     def __init__(self, points):
-        points = tuple(sorted(points))
+        points = tuple(points)
         if not points:
             raise InvalidParameterError("a line needs points")
-        p = points[0].p
-        dim = points[0].dim
-        for pt in points:
-            if pt.p != p or pt.dim != dim:
-                raise InvalidParameterError("line points must share one ambient space")
-        if len(set(points)) != p + 1:
+        first = points[0]
+        if any(not isinstance(pt, ProjPointFp) or pt.p != first.p or pt.dim != first.dim
+               for pt in points):
+            raise InvalidParameterError("line points must share one ambient space")
+        p = first.p
+        space = _Space(first.dim, p)
+        indices = sorted({space.index(pt.coords) for pt in points})
+        if len(indices) != p + 1:
             raise InvalidParameterError(
-                f"a line over F_{p} has exactly {p + 1} distinct points, got {len(set(points))}"
+                f"a line over F_{p} has exactly {p + 1} distinct points, got {len(indices)}"
             )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "points", points)
+        join = space.line(space.coords(indices[0]), space.coords(indices[1]))
+        if list(join.indices) != indices:
+            raise InvalidParameterError("line points are not collinear")
+        for name in LineFp.__slots__:
+            object.__setattr__(self, name, getattr(join, name))
+
+    @classmethod
+    def _of(cls, space, indices):
+        line = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (space.p, indices, space, None)):
+            object.__setattr__(line, name, value)
+        return line
 
     def __setattr__(self, name, value):
         raise AttributeError("LineFp is immutable")
 
     @property
     def dim(self):
-        return self.points[0].dim
+        return self._space.n
+
+    @property
+    def points(self):
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(map(self._space.point, self.indices)))
+        return self._points
+
+    def _first_coords(self):
+        """Coordinates of two points spanning the line."""
+        return [self._space.coords(i) for i in self.indices[:2]]
 
     def __contains__(self, pt):
-        i = bisect_left(self.points, pt)
-        return i < len(self.points) and self.points[i] == pt
+        if not isinstance(pt, ProjPointFp) or pt.p != self.p or pt.dim != self.dim:
+            return False
+        i = self._space.index(pt.coords)
+        j = bisect_left(self.indices, i)
+        return j < len(self.indices) and self.indices[j] == i
 
     def __eq__(self, other):
         if not isinstance(other, LineFp):
             return NotImplemented
-        return self.p == other.p and self.points == other.points
+        return (self.p, self.dim, self.indices) == (other.p, other.dim, other.indices)
 
     def __hash__(self):
-        return hash((self.p, self.points))
+        return hash((self.p, self.indices))
 
     def __lt__(self, other):
-        if not isinstance(other, LineFp) or other.p != self.p:
+        if not isinstance(other, LineFp) or (other.p, other.dim) != (self.p, self.dim):
             return NotImplemented
-        return self._key() < other._key()
-
-    def _key(self):
-        return tuple(pt.coords for pt in self.points)
+        return self.indices < other.indices
 
     def __repr__(self):
         return f"LineFp[{', '.join(repr(pt) for pt in self.points)}]"
-
-
-def _span(u, v, p):
-    """The line spanned by coordinate vectors u and v: v, then u + t*v for t in F_p."""
-    members = [ProjPointFp(v, p)]
-    for t in range(p):
-        members.append(ProjPointFp(tuple(a + t * b for a, b in zip(u, v)), p))
-    return LineFp(members)
 
 
 def line_through(x, y):
@@ -181,7 +288,7 @@ def line_through(x, y):
         raise InvalidParameterError("points live in different ambient spaces")
     if x == y:
         raise DegenerateSpanError(f"coincident points {x!r} span no line")
-    return _span(x.coords, y.coords, x.p)
+    return _Space(x.dim, x.p).line(x.coords, y.coords)
 
 
 def _rank(pts, kind):
@@ -256,7 +363,7 @@ def enumerate_points(n, p):
     for pivot in range(n, -1, -1):
         prefix = (0,) * pivot + (1,)
         for tail in itertools.product(range(p), repeat=n - pivot):
-            out.append(ProjPointFp(prefix + tail, p))
+            out.append(_point(prefix + tail, p))
     return out
 
 
@@ -264,30 +371,30 @@ def enumerate_lines(n, p):
     """All lines of P^n(F_p), n in {2, 3}, each exactly once, sorted.
 
     Lines correspond to reduced row echelon 2 x (n+1) matrices; expanding
-    each echelon basis gives every member point already in canonical form,
-    so no normalization or deduplication is needed.
+    each echelon basis gives the index of every member point directly, so no
+    point is built, normalized or deduplicated.
     """
     check_prime(p)
     _check_dim(n, low=2)
+    space = _Space(n, p)
     cols = n + 1
-    lines = []
-    for a in range(cols):
-        for b in range(a + 1, cols):
-            free0 = [j for j in range(a + 1, cols) if j != b]
-            free1 = [j for j in range(b + 1, cols)]
-            for vals0 in itertools.product(range(p), repeat=len(free0)):
-                r0 = [0] * cols
-                r0[a] = 1
-                for j, v in zip(free0, vals0):
-                    r0[j] = v
-                for vals1 in itertools.product(range(p), repeat=len(free1)):
-                    r1 = [0] * cols
-                    r1[b] = 1
-                    for j, v in zip(free1, vals1):
-                        r1[j] = v
-                    lines.append(_span(r0, r1, p))
-    lines.sort()
-    return lines
+    keys = []
+    for a, b in itertools.combinations(range(cols), 2):
+        free0 = [j for j in range(a + 1, cols) if j != b]
+        free1 = range(b + 1, cols)
+        for vals0 in itertools.product(range(p), repeat=len(free0)):
+            r0 = [0] * cols
+            r0[a] = 1
+            for j, v in zip(free0, vals0):
+                r0[j] = v
+            for vals1 in itertools.product(range(p), repeat=len(free1)):
+                r1 = [0] * cols
+                r1[b] = 1
+                for j, v in zip(free1, vals1):
+                    r1[j] = v
+                keys.append(tuple(space.span([r0, r1])))
+    keys.sort()
+    return [LineFp._of(space, key) for key in keys]
 
 
 def point_line_counts(n, p):
@@ -303,7 +410,7 @@ def line_dual(line):
     """Dual point of a line in P^2 (coefficients of its linear equation)."""
     if line.dim != 2:
         raise UnsupportedDimensionError("line duals live in ambient dimension 2")
-    (d,) = _kernel([pt.coords for pt in line.points[:2]], line.p)
+    (d,) = _kernel(line._first_coords(), line.p)
     return ProjPointFp(d, line.p)
 
 
@@ -311,8 +418,7 @@ def line_from_dual(d):
     """Line of P^2 cut out by the linear form with coefficient vector d."""
     if d.dim != 2:
         raise UnsupportedDimensionError("line duals live in ambient dimension 2")
-    u, v = _kernel([d.coords], d.p)
-    return _span(u, v, d.p)
+    return _Space(2, d.p).line(*_kernel([d.coords], d.p))
 
 
 @dataclass(frozen=True)
@@ -320,6 +426,11 @@ class PlaneFp:
     """A plane of P^3(F_p), given by its dual point."""
 
     dual: ProjPointFp
+
+    @cached_property
+    def indices(self):
+        """Sorted indices of its points, the points its dual annihilates."""
+        return _Space(self.dual.dim, self.dual.p).annihilator([self.dual.coords])
 
 
 @dataclass(frozen=True)
@@ -391,39 +502,43 @@ class IncidenceConfig:
         """Configuration of the given points, lines and planes.
 
         Lists every point of `points` on each line and plane, then every
-        line lying in each plane; line members outside `points` are left out.
-        The points must be distinct and of one space, the lines distinct (by
-        their first two points) and the planes distinct (by their duals).
+        line lying in each plane, read off the planes through the line (the
+        points of its dual line); members outside `points` are left out.
+        The points, lines and plane duals must share one space (P^3 if there
+        are planes), and the points, the lines and the planes must each be
+        distinct.
         """
-        idx = {pt: i for i, pt in enumerate(points)}
-        if len(idx) != len(points) or len({(pt.p, pt.dim) for pt in points}) != 1:
-            raise InvalidParameterError("configuration points must be distinct, in one space")
-        if (len({line.points[:2] for line in lines}) != len(lines)
+        kinds = {(x.p, x.dim) for x in (*points, *lines, *(plane.dual for plane in planes))}
+        if not points or len(kinds) != 1 or (planes and points[0].dim != 3):
+            raise InvalidParameterError("configuration points, lines and planes must share one space")
+        space = _Space(points[0].dim, points[0].p)
+        at = {space.index(pt.coords): i for i, pt in enumerate(points)}
+        if (len(at) != len(points) or len({line.indices for line in lines}) != len(lines)
                 or len({plane.dual for plane in planes}) != len(planes)):
-            raise InvalidParameterError("configuration lines and planes must be distinct")
+            raise InvalidParameterError("configuration points, lines and planes must be distinct")
         line_off = len(points)
         plane_off = line_off + len(lines)
         inclusions = [
-            (idx[pt], line_off + li)
+            (at[i], line_off + li)
             for li, line in enumerate(lines)
-            for pt in line.points
-            if pt in idx
+            for i in line.indices
+            if i in at
         ]
-        on_plane = [
-            [i for i, pt in enumerate(points) if _dot(plane.dual.coords, pt.coords, pt.p) == 0]
-            for plane in planes
-        ]
-        for pi, members in enumerate(on_plane):
+        for pi, plane in enumerate(planes):
+            members = sorted(at[i] for i in plane.indices if i in at)
             inclusions.extend((i, plane_off + pi) for i in members)
-        for pi, members in enumerate(on_plane):
-            member_set = set(members)
-            for li, line in enumerate(lines):
-                a, b = line.points[0], line.points[1]
-                if idx[a] in member_set and idx[b] in member_set:
-                    inclusions.append((line_off + li, plane_off + pi))
+        if planes:
+            plane_at = {space.index(plane.dual.coords): pi for pi, plane in enumerate(planes)}
+            line_in_plane = sorted(
+                (plane_at[d], li)
+                for li, line in enumerate(lines)
+                for d in space.annihilator(line._first_coords())
+                if d in plane_at
+            )
+            inclusions.extend((line_off + li, plane_off + pi) for pi, li in line_in_plane)
         return cls(
-            dim=points[0].dim,
-            p=points[0].p,
+            dim=space.n,
+            p=space.p,
             points=tuple(points),
             lines=tuple(lines),
             planes=tuple(planes),
@@ -467,8 +582,7 @@ def mp_configuration(p):
         chosen.add(ProjPointFp(((n + 1) % p, 1, 1), p))
     for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0)):
         chosen.add(ProjPointFp(c, p))
-    lines = [
-        line for line in enumerate_lines(2, p)
-        if sum(1 for pt in line.points if pt in chosen) >= 2
-    ]
+    space = _Space(2, p)
+    at = {space.index(pt.coords) for pt in chosen}
+    lines = [line for line in enumerate_lines(2, p) if len(at.intersection(line.indices)) >= 2]
     return IncidenceConfig.from_members(sorted(chosen), lines)

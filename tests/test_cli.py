@@ -332,6 +332,12 @@ GOLDEN = [
      "0e7597bc4a1a2cb42cd363cef78c6c11056b291a1e64f72ea6454721f3b78e80"),
     ("lift check --p 7 --ring fpt:2 --map FMAP", 0,
      "f67d0164102dcbb9fa2b7ca6b3213afb413056aba1be11b955b028dab2720747"),
+    ("geom config --dim 3 --p 5 --format json", 0,
+     "42afa4d87005ccf218a09304692793b0d96c970b4c2185363c37df69a91f1979"),
+    ("geom config --dim 2 --p 13 --format json", 0,
+     "69af85cc2c0dd5e6e285b236da98da974083ea017ac4f9dc24513b4d0550735d"),
+    ("geom mp --p 31 --format json", 0,
+     "88559a80ce3b4eda3d3c5a865f78c1f343897ceb76fdc2f83701dba1f3aa20e2"),
 ]
 
 
@@ -460,3 +466,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "points: 7, lines: 7\n"
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the 588 KB certificate is more than a pipe buffer, so the write after
+    # the reader hangs up always fails
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nonlift.cli", "lift", "propagate", "--p", "877",
+         "--ring", "zpk:2", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode("utf-8")
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -16,6 +16,7 @@ from nonlift import (
     IncidenceConfig,
     InvalidParameterError,
     LineFp,
+    PlaneFp,
     ProjPointFp,
     UnsupportedDimensionError,
     check_prime,
@@ -29,7 +30,7 @@ from nonlift import (
     line_through,
     mp_configuration,
 )
-from nonlift.finite_geometry import P_MAX
+from nonlift.finite_geometry import P_MAX, _Space
 
 POINT_COUNTS = {
     (2, 2): 7,
@@ -213,6 +214,43 @@ def test_line_through_is_symmetric_and_contains_both():
         ln = line_through(a, b)
         assert ln == line_through(b, a)
         assert a in ln and b in ln
+
+
+def test_point_index_is_enumeration_position():
+    for dim in (2, 3):
+        for p in (2, 3, 5, 7):
+            space = _Space(dim, p)
+            points = enumerate_points(dim, p)
+            assert [space.index(pt.coords) for pt in points] == list(range(len(points)))
+            assert [space.coords(i) for i in range(len(points))] == [pt.coords for pt in points]
+
+
+def test_line_indices_are_member_positions():
+    for dim, p in [(2, 5), (3, 3)]:
+        position = {pt: i for i, pt in enumerate(enumerate_points(dim, p))}
+        for ln in enumerate_lines(dim, p):
+            assert ln.indices == tuple(position[pt] for pt in ln.points)
+
+
+def test_line_from_points_checks_collinearity():
+    corners = [ProjPointFp(v, 2) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    with pytest.raises(InvalidParameterError, match="not collinear"):
+        LineFp(corners)
+    ln = line_through(corners[0], corners[1])
+    assert LineFp(reversed(ln.points)) == ln
+    with pytest.raises(InvalidParameterError):
+        LineFp([*corners[:2], "(1:1:0)"])
+
+
+def test_from_members_decides_line_in_plane_from_the_line():
+    # the line's first two members are (0:0:1:0) and (0:1:0:0), and only the
+    # second is given
+    pts = [ProjPointFp(v, 3) for v in ((0, 1, 0, 0), (0, 1, 1, 0))]
+    ln = line_through(*pts)
+    plane = PlaneFp(ProjPointFp((1, 0, 0, 0), 3))
+    cfg = IncidenceConfig.from_members(pts, [ln], [plane])
+    assert cfg.inclusions == ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+    assert cfg.to_json()["planes"] == [[0, 1]]
 
 
 def test_line_through_rejects_equal_points():
