@@ -246,7 +246,7 @@ def _run_lift(args):
                 "maps": [
                     {
                         "assignments": [
-                            {"point": list(pt.coords), "image": [c.to_json() for c in img.coords]}
+                            {"point": list(pt.coords), "image": img._coords_json()}
                             for pt, img in sorted(m.items())
                         ]
                     }

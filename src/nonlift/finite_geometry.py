@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add
 
 from .errors import (
@@ -39,16 +39,25 @@ INCLUSIONS_MAX = 250_000
 
 
 def check_prime(p):
-    """Validate p (at most P_MAX) by trial division and return it unchanged."""
+    """Validate p (at most P_MAX), dividing once per p, and return it unchanged."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise InvalidParameterError(f"p must be an integer, got {p!r}")
     if p < 2:
         raise InvalidParameterError(f"p must be a prime >= 2, got {p}")
     check_cap(p, P_MAX, "prime p")
+    d = _least_factor(p)
+    if d != p:
+        raise InvalidParameterError(f"p must be prime, got {p} = {d} * {p // d}")
+    return p
+
+
+@lru_cache(maxsize=64)
+def _least_factor(p):
+    """The least prime factor of an int p >= 2, by trial division."""
     d = 2
     while d * d <= p:
         if p % d == 0:
-            raise InvalidParameterError(f"p must be prime, got {p} = {d} * {p // d}")
+            return d
         d += 1
     return p
 

@@ -172,14 +172,13 @@ def propagate_forced_lift(*args):
     steps = []
 
     def derive(la, lb, expected_coords):
-        # the target is the residue point of the expected coordinates
+        # the law fixes the derived point, so its residue point is the target
         pt = line_intersect_A(la, lb)
         expected = ProjPointA(ring, expected_coords)
         assert pt == expected, (
             f"derived {pt!r} violates the derived-coordinate law, expected {expected!r}"
         )
-        target = ProjPointFp(expected_coords, p)
-        steps.append(DerivationStep(target=target, line1=la, line2=lb, derived=pt))
+        steps.append(DerivationStep(target=pt.reduce(), line1=la, line2=lb, derived=pt))
         return pt
 
     # the fifth frame-determined point (1:1:0)
@@ -404,7 +403,7 @@ def certificate_json(trace, obstruction):
                 "target": list(step.target.coords),
                 "line1": step.line1.to_json(),
                 "line2": step.line2.to_json(),
-                "derived": [c.to_json() for c in step.derived.coords],
+                "derived": step.derived._coords_json(),
             }
             for step in trace.steps
         ],
@@ -462,6 +461,8 @@ def _parse_certificate(doc):
 
 def _fmt_point(pt):
     """`(a:b:c)` for a point over F_p or over a ring."""
+    if isinstance(pt, ProjPointA):
+        return f"({pt._coords_text()})"
     return "(" + ":".join(str(c) for c in pt.coords) + ")"
 
 

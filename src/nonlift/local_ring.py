@@ -15,6 +15,8 @@ and gives the one reduction that every operator and plane function calls
 bias first, a multiple of p in each digit that keeps any digit from
 borrowing.  Projective points over a ring A carry at least one unit
 coordinate and are normalized by scaling the first unit coordinate to 1.
+A point stores its coordinates' integers, normalized once; `coords` wraps
+them as `RingElem`s only when read, and the renderers format the integers.
 
 Lines in the projective plane over A are represented by their dual
 coordinate vectors.  Join and meet are then one operation, the normalized
@@ -38,7 +40,7 @@ from .errors import (
     check_cap,
     read_back,
 )
-from .finite_geometry import MAX_DIM, ProjPointFp, check_prime
+from .finite_geometry import MAX_DIM, ProjPointFp, _point, check_prime
 
 KINDS = ("zpk", "fpt")
 
@@ -108,6 +110,20 @@ class LocalRing:
     def _decode(self, n):
         """The canonical representation of a stored integer."""
         return n if self.kind == "zpk" else tuple(n >> s & self._mask for s in self._shifts)
+
+    def _json(self, n):
+        """The JSON form of a stored integer: the residue, or the coefficient list."""
+        return n if self.kind == "zpk" else list(self._decode(n))
+
+    def _text(self, n):
+        """The text form of a stored integer, as `RingElem.__str__` prints it."""
+        if self.kind == "zpk":
+            return str(n)
+        terms = [
+            str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("t" if i == 1 else f"t^{i}")
+            for i, c in enumerate(self._decode(n)) if c
+        ]
+        return " + ".join(terms) or "0"
 
     def reps(self):
         """All raw representations in ascending lexicographic order."""
@@ -250,16 +266,9 @@ class RingElem:
         return self.ring._residue(self._n)
 
     def inverse(self):
-        """Newton's step b -> b(2 - ab) from the residue's inverse, which
-        doubles the power of p (or t) that ab - 1 is divisible by."""
-        ring, n = self.ring, self._n
         if not self.is_unit:
-            raise InvalidParameterError(f"{self.rep!r} is not a unit in {ring}")
-        reduce, bias = ring._reduce, ring._bias
-        b = pow(self.residue, -1, ring.p)
-        for _ in range((ring.k - 1).bit_length()):
-            b = reduce(b * reduce(2 + bias - n * b))
-        return _canonical(ring, b)
+            raise InvalidParameterError(f"{self.rep!r} is not a unit in {self.ring}")
+        return _canonical(self.ring, _inverse(self.ring, self._n))
 
     def __eq__(self, other):
         if not isinstance(other, RingElem):
@@ -273,16 +282,20 @@ class RingElem:
         return f"{self!s} in {self.ring}"
 
     def __str__(self):
-        if self.ring.kind == "zpk":
-            return str(self._n)
-        terms = [
-            str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("t" if i == 1 else f"t^{i}")
-            for i, c in enumerate(self.rep) if c
-        ]
-        return " + ".join(terms) or "0"
+        return self.ring._text(self._n)
 
     def to_json(self):
-        return self._n if self.ring.kind == "zpk" else list(self.rep)
+        return self.ring._json(self._n)
+
+
+def _inverse(ring, n):
+    """The inverse of the unit stored as n: Newton's step b -> b(2 - nb) from the
+    residue's inverse doubles the power of p (or t) that nb - 1 is divisible by."""
+    reduce, bias = ring._reduce, ring._bias
+    b = pow(ring._residue(n), -1, ring.p)
+    for _ in range((ring.k - 1).bit_length()):
+        b = reduce(b * reduce(2 + bias - n * b))
+    return b
 
 
 def _canonical(ring, n):
@@ -301,49 +314,59 @@ def _reduced(ring, n):
 class ProjPointA:
     """A point of P^n(A) in canonical form (first unit coordinate 1)."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ("ring", "_ns")
 
     def __init__(self, ring, coords):
-        elems = [c if isinstance(c, RingElem) else RingElem(ring, c) for c in coords]
-        if any(c.ring is not ring and c.ring != ring for c in elems):
-            raise InvalidParameterError("coordinate from a different ring")
-        if not 1 <= len(elems) - 1 <= MAX_DIM:
+        ns = []
+        for c in coords:
+            if not isinstance(c, RingElem):
+                ns.append(ring._encode(c))
+            elif c.ring is ring or c.ring == ring:
+                ns.append(c._n)
+            else:
+                raise InvalidParameterError("coordinate from a different ring")
+        if not 1 <= len(ns) - 1 <= MAX_DIM:
             raise UnsupportedDimensionError(
-                f"projective points need 2 to {MAX_DIM + 1} coordinates, got {len(elems)}"
+                f"projective points need 2 to {MAX_DIM + 1} coordinates, got {len(ns)}"
             )
-        pivot = next((i for i, c in enumerate(elems) if c.is_unit), None)
-        if pivot is None:
-            raise NotAProjectivePointError(
-                f"no unit coordinate in {[str(c) for c in elems]} over {ring}"
-            )
-        inv = elems[pivot].inverse()._n
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coords", tuple(_reduced(ring, c._n * inv) for c in elems))
+        object.__setattr__(self, "_ns", _normalize(ring, ns))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPointA is immutable")
 
     @property
+    def coords(self):
+        return tuple(_canonical(self.ring, n) for n in self._ns)
+
+    @property
     def dim(self):
-        return len(self.coords) - 1
+        return len(self._ns) - 1
 
     def reduce(self):
         """Image in P^n(F_p) under the residue map."""
-        return ProjPointFp(tuple(c.residue for c in self.coords), self.ring.p)
+        return _point(tuple(map(self.ring._residue, self._ns)), self.ring.p)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPointA):
             return NotImplemented
-        return self.ring == other.ring and self.coords == other.coords
+        return self._ns == other._ns and (self.ring is other.ring or self.ring == other.ring)
 
     def __hash__(self):
-        return hash((self.ring, tuple(c._n for c in self.coords)))
+        return hash((self.ring, self._ns))
+
+    def _coords_text(self):
+        """`a:b:c`, the renderers' form of the coordinates."""
+        return ":".join([self.ring._text(n) for n in self._ns])
+
+    def _coords_json(self):
+        return [self.ring._json(n) for n in self._ns]
 
     def __repr__(self):
-        return f"({':'.join(str(c) for c in self.coords)}) over {self.ring}"
+        return f"({self._coords_text()}) over {self.ring}"
 
     def to_json(self):
-        return {"ring": self.ring.to_json(), "coords": [c.to_json() for c in self.coords]}
+        return {"ring": self.ring.to_json(), "coords": self._coords_json()}
 
     @classmethod
     def from_json(cls, doc):
@@ -351,6 +374,26 @@ class ProjPointA:
         return read_back(
             doc, lambda d: cls(LocalRing.from_json(d["ring"]), d["coords"]), cls.to_json, "point"
         )
+
+
+def _normalize(ring, ns):
+    """Stored coordinate integers scaled so that the first unit is 1."""
+    residue = ring._residue
+    pivot = next((n for n in ns if residue(n)), None)
+    if pivot is None:
+        raise NotAProjectivePointError(
+            f"no unit coordinate in {[ring._text(n) for n in ns]} over {ring}"
+        )
+    reduce, inv = ring._reduce, _inverse(ring, pivot)
+    return tuple(reduce(n * inv) for n in ns)
+
+
+def _point_A(ring, ns):
+    """A ProjPointA over stored integers already in canonical form, unchecked."""
+    pt = object.__new__(ProjPointA)
+    object.__setattr__(pt, "ring", ring)
+    object.__setattr__(pt, "_ns", ns)
+    return pt
 
 
 def enumerate_lifts(x, ring):
@@ -369,8 +412,9 @@ def enumerate_lifts(x, ring):
             f"residue characteristics differ: point over F_{x.p}, ring {ring}"
         )
     pivot = next(i for i, c in enumerate(x.coords) if c)
-    options = [[1] if i == pivot else ring.lifts_of_residue(c) for i, c in enumerate(x.coords)]
-    return [ProjPointA(ring, combo) for combo in itertools.product(*options)]
+    options = [[1] if i == pivot else map(ring._encode, ring.lifts_of_residue(c))
+               for i, c in enumerate(x.coords)]
+    return [_point_A(ring, combo) for combo in itertools.product(*options)]
 
 
 def _same_plane_points(points):
@@ -378,7 +422,7 @@ def _same_plane_points(points):
     for x in points:
         if not isinstance(x, ProjPointA) or (x.ring is not ring and x.ring != ring):
             raise InvalidParameterError("points must share one coefficient ring")
-        if len(x.coords) != 3:
+        if len(x._ns) != 3:
             raise UnsupportedDimensionError(
                 f"operation defined in ambient dimension 2, got {x.dim}"
             )
@@ -387,12 +431,7 @@ def _same_plane_points(points):
 
 def _residues(x):
     """The residues of a canonical point's coordinates, canonical over F_p too."""
-    return [c.residue for c in x.coords]
-
-
-def _ints(x):
-    """The stored integers of a point's coordinates."""
-    return [c._n for c in x.coords]
+    return list(map(x.ring._residue, x._ns))
 
 
 def _cross(ring, u, v):
@@ -422,11 +461,10 @@ def _cross_point(x, y, error, message):
     ring = _same_plane_points((x, y))
     if _residues(x) == _residues(y):
         raise error(message.format(x.reduce()))
-    u, v = _ints(x), _ints(y)
-    out = ProjPointA(ring, [_canonical(ring, n) for n in _cross(ring, u, v)])
-    dual = _ints(out)
+    u, v = x._ns, y._ns
+    dual = _normalize(ring, _cross(ring, u, v))
     assert _orthogonal(ring, dual, u) and _orthogonal(ring, dual, v)
-    return out
+    return _point_A(ring, dual)
 
 
 class LineA:
@@ -448,7 +486,7 @@ class LineA:
 
     def contains(self, x):
         ring = _same_plane_points((self.dual, x))
-        return _orthogonal(ring, _ints(self.dual), _ints(x))
+        return _orthogonal(ring, self.dual._ns, x._ns)
 
     def __eq__(self, other):
         if not isinstance(other, LineA):
@@ -462,7 +500,7 @@ class LineA:
         return f"LineA(dual={self.dual!r})"
 
     def to_json(self):
-        return {"dual": [c.to_json() for c in self.dual.coords]}
+        return {"dual": self.dual._coords_json()}
 
 
 def line_through_A(x, y):
@@ -493,7 +531,7 @@ def collinear_A(x, y, z):
     there decides nothing and raises UndecidableCollinearityError.
     """
     ring = _same_plane_points((x, y, z))
-    if not _orthogonal(ring, _cross(ring, _ints(x), _ints(y)), _ints(z)):
+    if not _orthogonal(ring, _cross(ring, x._ns, y._ns), z._ns):
         return False
     if _residues(x) == _residues(y) == _residues(z):
         raise UndecidableCollinearityError(

@@ -338,6 +338,13 @@ GOLDEN = [
      "69af85cc2c0dd5e6e285b236da98da974083ea017ac4f9dc24513b4d0550735d"),
     ("geom mp --p 31 --format json", 0,
      "88559a80ce3b4eda3d3c5a865f78c1f343897ceb76fdc2f83701dba1f3aa20e2"),
+    # certify sizes: multi-digit stored integers through both renderers
+    ("lift propagate --p 887 --ring zpk:3 --format json", 2,
+     "037ac92e5298dd7aa3ba7c87343e93a900b03a7a7ad8299f5446d40bc5b96b4a"),
+    ("lift propagate --p 499 --ring fpt:3", 0,
+     "3270f95b9aa1ba02827ded9c0d79d1a1d6fbd3e9710a8bee9bd4956c77de51d2"),
+    ("lift propagate --p 211 --ring fpt:2 --format json", 0,
+     "d4b3482b9813950aab445d5bb226ceebecf94c6e74eae98b95179d453a9ce855"),
 ]
 
 

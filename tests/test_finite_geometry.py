@@ -134,6 +134,23 @@ def test_check_prime():
         assert time.perf_counter() - start < 0.1
 
 
+def test_points_at_a_large_prime_divide_once():
+    # the primality verdict is remembered per p; the type, range and cap
+    # checks still run on every call
+    p, composite = 2**40 - 87, 1_048_571 * 1_048_573
+    start = time.perf_counter()
+    points = {ProjPointFp((1, 2, 3), p) for _ in range(1000)}
+    assert time.perf_counter() - start < 2
+    assert len(points) == 1
+    for _ in range(3):
+        with pytest.raises(InvalidParameterError, match="= 1048571 \\* 1048573"):
+            ProjPointFp((1, 2, 3), composite)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            ProjPointFp((1, 2, 3), [p])
+        with pytest.raises(BudgetExceededError):
+            ProjPointFp((1, 2, 3), P_MAX + 1)
+
+
 def test_point_counts_match_formula_and_each_other():
     for (dim, p), expected in POINT_COUNTS.items():
         points = enumerate_points(dim, p)

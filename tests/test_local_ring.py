@@ -24,6 +24,7 @@ from nonlift import (
     line_through_A,
     ring_make,
 )
+from nonlift.local_ring import RingElem, _canonical, _cross, _normalize
 
 Z4 = ring_make("zpk", 2, 2)
 Z9 = ring_make("zpk", 3, 2)
@@ -511,3 +512,96 @@ def test_plane_kernel_matches_ring_arithmetic_sampled(spec):
         # lifts of x's residue: the undecidable corner
         near_x = _random_point(rng, ring, (x, x))
         _assert_kernel_agrees(x, near_x, _random_point(rng, ring, (x, near_x)))
+
+
+# -- the stored coordinate integers against the RingElem path ------------------
+
+POINT_RINGS = [("zpk", 2, 1), ("zpk", 2, 8), ("zpk", 3, 5), ("zpk", 907, 2),
+               ("fpt", 2, 8), ("fpt", 5, 3), ("fpt", 13, 8), ("fpt", 503, 2)]
+
+
+def _ref_normalize(coords):
+    """The canonical coordinates by RingElem operators: divide by the first unit."""
+    pivot = next(c for c in coords if c.is_unit)
+    inv = pivot.inverse()
+    assert pivot * inv == pivot.ring.one
+    return tuple(c * inv for c in coords)
+
+
+def _random_coords(rng, ring, n):
+    """n random elements, each times a random power of the uniformizer, so
+    leading non-units and zeros are common; at least one is a unit."""
+    pi = ring.elem(ring.p if ring.kind == "zpk" else [0, 1])
+    while True:
+        coords = []
+        for _ in range(n):
+            c = _random_elem(rng, ring)
+            for _ in range(rng.choice((0, 0, 1, ring.k))):
+                c = c * pi
+            coords.append(c)
+        if any(c.is_unit for c in coords):
+            return coords
+
+
+@pytest.mark.parametrize("spec", POINT_RINGS, ids=str)
+def test_point_integers_match_ring_elem_normalization(spec):
+    ring = ring_make(*spec)
+    rng = random.Random(f"point {spec}")
+    for _ in range(60):
+        coords = _random_coords(rng, ring, rng.randrange(2, 5))
+        # raw representations, ring elements, or a mix of both
+        given = [c if rng.random() < 0.5 else c.rep for c in coords]
+        x = ProjPointA(ring, given)
+        ref = _ref_normalize(coords)
+        assert x.coords == ref
+        assert all(type(c) is RingElem and c.ring is ring for c in x.coords)
+        assert next(c for c in x.coords if c.is_unit) == ring.one
+        assert x.dim == len(coords) - 1
+        residues = [c.residue for c in coords]
+        assert x.reduce() == ProjPointFp(residues, ring.p)
+        assert x.reduce().coords == ProjPointFp(residues, ring.p).coords
+        assert x.to_json() == {"ring": ring.to_json(), "coords": [c.to_json() for c in ref]}
+        assert repr(x) == f"({':'.join(str(c) for c in ref)}) over {ring}"
+
+
+@pytest.mark.parametrize("spec", POINT_RINGS, ids=str)
+def test_meet_equals_point_from_raw_coordinates(spec):
+    ring = ring_make(*spec)
+    twin = LocalRing(*spec)
+    assert twin is not ring and twin == ring
+    rng = random.Random(f"meet {spec}")
+    done = 0
+    while done < 40:
+        x = ProjPointA(ring, _random_coords(rng, ring, 3))
+        y = ProjPointA(ring, _random_coords(rng, ring, 3))
+        if x.reduce() == y.reduce():
+            continue
+        done += 1
+        meet = line_intersect_A(LineA(x), LineA(y))
+        # the same point from raw coordinates over the twin ring, scaled by a unit
+        unit = _random_coords(rng, ring, 1)[0]
+        raw = ProjPointA(twin, [(unit * c).rep for c in _ref_cross(x.coords, y.coords)])
+        assert raw == meet and meet == raw
+        assert hash(raw) == hash(meet)
+        assert len({raw, meet}) == 1
+        assert raw.coords == meet.coords
+        assert meet.reduce() == raw.reduce()
+        assert LineA(x).contains(raw) and LineA(y).contains(raw)
+
+
+@pytest.mark.parametrize("spec", POINT_RINGS, ids=str)
+def test_cross_product_without_unit_is_not_a_point(spec):
+    # two points with one residue: their cross product lies in the maximal
+    # ideal, and normalizing it refuses, rather than running off the end
+    ring = ring_make(*spec)
+    rng = random.Random(f"no unit {spec}")
+    for _ in range(20):
+        x = ProjPointA(ring, _random_coords(rng, ring, 3))
+        y = _random_point(rng, ring, (x, x))
+        cross = _cross(ring, x._ns, y._ns)
+        with pytest.raises(NotAProjectivePointError):
+            _normalize(ring, cross)
+        with pytest.raises(NotAProjectivePointError):
+            ProjPointA(ring, [_canonical(ring, n) for n in cross])
+        with pytest.raises(IndeterminateSpanError):
+            line_through_A(x, y)
