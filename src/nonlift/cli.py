@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import lift_checker, motive
-from .errors import NonliftError
+from .errors import NonliftError, write_json
 from .finite_geometry import (
     ProjPointFp,
     incidence_config,
@@ -170,10 +170,6 @@ def _class_text(v):
     )
 
 
-def _dump(doc):
-    return json.dumps(doc, indent=2)
-
-
 def _run_geom(args):
     if args.command == "count":
         points, lines = point_line_counts(args.dim, args.p)
@@ -182,13 +178,13 @@ def _run_geom(args):
         if args.dim == 3:
             doc["planes"] = points
             text += f", planes: {points}"
-        return (_dump(doc) if args.format == JSON else text), 0
+        return (write_json(doc) if args.format == JSON else text), 0
     if args.command == "config":
         config = incidence_config(args.dim, args.p)
     else:
         config = mp_configuration(args.p)
     if args.format == JSON:
-        return _dump(config.to_json()), 0
+        return write_json(config.to_json()), 0
     parts = [f"points: {len(config.points)}", f"lines: {len(config.lines)}"]
     if config.dim == 3:
         parts.append(f"planes: {len(config.planes)}")
@@ -253,7 +249,7 @@ def _run_lift(args):
                     for m in result.maps
                 ],
             }
-            return _dump(doc), 0
+            return write_json(doc), 0
         lines = [
             f"maps found: {len(result.maps)}",
             f"nodes explored: {result.nodes_explored}",
@@ -278,7 +274,7 @@ def _run_lift(args):
                 [list(pt.coords) for pt in triple] for triple in violations
             ],
         }
-        return _dump(doc), 0
+        return write_json(doc), 0
     lines = [f"violations: {len(violations)}"]
     for x, y, z in violations:
         lines.append(f"  {fmt(x)}, {fmt(y)}, {fmt(z)}")
@@ -295,7 +291,7 @@ def _run_motive(args):
         v = parse_space_spec(args.space)
         table = motive.invariants_table(v)
         if args.format == JSON:
-            return _dump({"class": v.to_json(), "invariants": table.to_json()}), 0
+            return write_json({"class": v.to_json(), "invariants": table.to_json()}), 0
         body = [
             _class_text(v),
             f"betti: {', '.join(str(b) for b in table.betti)}",
@@ -307,7 +303,7 @@ def _run_motive(args):
         ]
         return "\n".join(body), 0
     if args.format == JSON:
-        return _dump(v.to_json()), 0
+        return write_json(v.to_json()), 0
     return _class_text(v), 0
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the checks that raise them."""
+"""Exception types shared across the package, the checks that raise them, and
+the one JSON reading rule and indent-2 writer."""
 
 import json
+from json.encoder import encode_basestring_ascii
 
 
 class NonliftError(Exception):
@@ -74,6 +76,48 @@ def read_back(doc, build, write, label):
     if not same:
         raise InvalidParameterError(f"malformed {label}: not the document its writer gives back")
     return obj
+
+
+def write_json(doc):
+    """The indent-2 JSON text of a document, byte for byte `json.dumps(doc,
+    indent=2)` on the types the package writes: dicts with str keys, lists,
+    tuples, ints, bools, None and str.  Anything else raises TypeError.
+
+    Each container is one `join` of its rendered items, so no list of every
+    small piece of the document is ever held.
+    """
+    return _write(doc, "\n")
+
+
+def _write(value, newline):
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = ("," + inner).join([_write(v, inner) for v in value])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ("," + inner).join([f"{_key(k)}: {_write(v, inner)}" for k, v in value.items()])
+        return f"{{{inner}{body}{newline}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key):
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
 
 
 class InvalidBlowupError(NonliftError):

@@ -34,6 +34,7 @@ from .errors import (
     MissingAssignmentError,
     check_cap,
     read_back,
+    write_json,
 )
 from .finite_geometry import (
     IncidenceConfig,
@@ -174,9 +175,9 @@ def propagate_forced_lift(*args):
     def derive(la, lb, expected_coords):
         # the law fixes the derived point, so its residue point is the target
         pt = line_intersect_A(la, lb)
-        expected = ProjPointA(ring, expected_coords)
-        assert pt == expected, (
-            f"derived {pt!r} violates the derived-coordinate law, expected {expected!r}"
+        assert pt._is_at(expected_coords), (
+            f"derived {pt!r} violates the derived-coordinate law,"
+            f" expected {ProjPointA(ring, expected_coords)!r}"
         )
         steps.append(DerivationStep(target=pt.reduce(), line1=la, line2=lb, derived=pt))
         return pt
@@ -469,7 +470,7 @@ def _fmt_point(pt):
 def certificate_render(trace, obstruction, format="text"):
     """Human-readable or JSON rendering of a propagation certificate."""
     if format == "json":
-        return json.dumps(certificate_json(trace, obstruction), indent=2)
+        return write_json(certificate_json(trace, obstruction))
     if format != "text":
         raise InvalidParameterError(f"unknown certificate format {format!r}")
     ring = trace.ring

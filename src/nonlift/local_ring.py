@@ -73,10 +73,13 @@ class LocalRing:
             # below k(p-1)^2 + bias digit kp(p-1).  Digits at and above k
             # only carry or borrow upwards, so masking the low k discards them.
             w = (3 * k * p * p).bit_length()
-            shifts, mask = range(0, w * k, w), (1 << w) - 1
+            shifts, mask = tuple(range(0, w * k, w)), (1 << w) - 1
             bias = sum(k * p * (p - 1) << s for s in shifts)
             def reduce(n):
-                return sum((n >> s & mask) % p << s for s in shifts)
+                out = 0
+                for s in shifts:
+                    out |= (n >> s & mask) % p << s
+                return out
             residue = mask.__and__
         values = (kind, p, k, size, shifts, mask, bias, reduce, residue)
         for name, value in zip(self.__slots__, values):
@@ -317,6 +320,10 @@ class ProjPointA:
     __slots__ = ("ring", "_ns")
 
     def __init__(self, ring, coords):
+        if not isinstance(ring, LocalRing) or not isinstance(coords, (tuple, list)):
+            raise InvalidParameterError(
+                "a point over A takes a LocalRing and a tuple or list of coordinates"
+            )
         ns = []
         for c in coords:
             if not isinstance(c, RingElem):
@@ -346,6 +353,15 @@ class ProjPointA:
     def reduce(self):
         """Image in P^n(F_p) under the residue map."""
         return _point(tuple(map(self.ring._residue, self._ns)), self.ring.p)
+
+    def _is_at(self, ints):
+        """Whether this plane point is (a*1 : b*1 : c*1) for integers (a, b, c)
+        in [0, p] with a unit among them, read on the stored integers: the two
+        triples' cross product vanishes, which for two triples with a unit
+        coordinate is projective equality."""
+        ring = self.ring
+        v = list(map(ring._reduce, ints))
+        return any(map(ring._residue, v)) and not any(_cross(ring, self._ns, v))
 
     def __eq__(self, other):
         if not isinstance(other, ProjPointA):
@@ -418,7 +434,7 @@ def enumerate_lifts(x, ring):
 
 
 def _same_plane_points(points):
-    ring = points[0].ring
+    ring = points[0].ring if isinstance(points[0], ProjPointA) else None
     for x in points:
         if not isinstance(x, ProjPointA) or (x.ring is not ring and x.ring != ring):
             raise InvalidParameterError("points must share one coefficient ring")

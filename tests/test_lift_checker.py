@@ -36,6 +36,7 @@ from nonlift import (
     search_over_all_frames,
     trivial_lift_map,
 )
+from nonlift import lift_checker
 from nonlift.lift_checker import LIFTS_MAX, PLANE_P_MAX, PROPAGATE_P_MAX
 from nonlift.local_ring import K_MAX
 
@@ -129,6 +130,36 @@ def test_derived_coordinate_law():
         closing = trace.steps[-1]
         assert closing.target.coords == (0, 0, 1)
         assert closing.derived == ProjPointA(ring, (p, 0, 1))
+
+
+def _off_the_line(ring, meets):
+    """Each meet moved by the uniformizer in its middle coordinate: the same
+    residue point, off both lines it should lie on."""
+    pi = ring.elem(ring.p if ring.kind == "zpk" else [0, 1])
+    x, y, z = meets[-1].coords
+    return ProjPointA(ring, (x, y + pi, z))
+
+
+def _next_axis_point(ring, meets):
+    """The first axis step answered with (2:0:1) instead of (1:0:1)."""
+    return ProjPointA(ring, (2, 0, 1)) if len(meets) == 2 else meets[-1]
+
+
+@pytest.mark.parametrize("spec", [("zpk", 3, 2), ("fpt", 3, 2)], ids=str)
+@pytest.mark.parametrize("wrong", [_off_the_line, _next_axis_point])
+def test_derived_coordinate_law_check_fires(monkeypatch, spec, wrong):
+    # a meet that breaks the law stops the chain at its own step
+    ring = ring_make(*spec)
+    meet, meets = lift_checker.line_intersect_A, []
+
+    def wrong_meet(l1, l2):
+        meets.append(meet(l1, l2))
+        return wrong(ring, meets)
+
+    monkeypatch.setattr(lift_checker, "line_intersect_A", wrong_meet)
+    with pytest.raises(AssertionError, match="violates the derived-coordinate law"):
+        propagate_forced_lift(ring)
+    assert len(meets) == (1 if wrong is _off_the_line else 2)
 
 
 def test_pinned_points_match_mp_configuration():

@@ -24,7 +24,7 @@ from nonlift import (
     line_through_A,
     ring_make,
 )
-from nonlift.local_ring import RingElem, _canonical, _cross, _normalize
+from nonlift.local_ring import K_MAX, RingElem, _canonical, _cross, _normalize
 
 Z4 = ring_make("zpk", 2, 2)
 Z9 = ring_make("zpk", 3, 2)
@@ -216,6 +216,20 @@ def test_point_equality_reduce_and_json():
 def test_point_mixed_ring_rejected():
     with pytest.raises(InvalidParameterError):
         ProjPointA(Z4, (Z9.elem(1), Z4.elem(0), Z4.elem(0)))
+
+
+def test_wrong_argument_types_rejected():
+    # a ring or points of the wrong type are refused as parameters, not
+    # left to fail inside the arithmetic
+    for call in (
+        lambda: ProjPointA(5, [1, 0, 0]),
+        lambda: ProjPointA(Z9, 7),
+        lambda: collinear_A(1, 2, 3),
+        lambda: line_through_A(1, 2),
+        lambda: line_through_A(ProjPointA(Z9, (1, 0, 0)), 2),
+    ):
+        with pytest.raises(InvalidParameterError):
+            call()
 
 
 def test_point_coordinate_variants():
@@ -417,6 +431,28 @@ def test_ring_arithmetic_matches_schoolbook_reference(spec):
         if x.is_unit:
             assert x.inverse().rep == ref["inverse"](a)
             assert ref["mul"](a, x.inverse().rep) == ring.one.rep
+
+
+def _reference_reduce(ring, n):
+    """The reduction over F_p[t]/(t^k) of a nonnegative integer, digit by
+    digit: each of the low k base-2^w digits mod p, higher digits dropped."""
+    base = 2 ** ring._mask.bit_length()
+    digits = [n // base**i % base for i in range(ring.k)]
+    return sum(d % ring.p * base**i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("p", [2, 13, 4999])
+def test_reduce_matches_digit_reference(p):
+    # every length up to K_MAX, p up to just below PROPAGATE_P_MAX
+    rng = random.Random(f"reduce fpt {p}")
+    for k in range(1, K_MAX + 1):
+        ring = ring_make("fpt", p, k)
+        w = ring._mask.bit_length()
+        top = 2 ** (w * k) - 1  # every digit 2^w - 1
+        cases = [0, 1, p, top, 2 ** (w * (k + 2)) - 1, top * ring.size]
+        cases += [rng.randrange(2 ** (w * (k + 1))) for _ in range(50)]
+        for n in cases:
+            assert ring._reduce(n) == _reference_reduce(ring, n), (k, n)
 
 
 # -- plane geometry over A against RingElem arithmetic --------------------------
