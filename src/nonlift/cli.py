@@ -22,6 +22,7 @@ from . import lift_checker, motive
 from .errors import NonliftError, write_json
 from .finite_geometry import (
     ProjPointFp,
+    enumerate_points,
     incidence_config,
     mp_configuration,
     point_line_counts,
@@ -276,8 +277,11 @@ def _run_lift(args):
         }
         return write_json(doc), 0
     lines = [f"violations: {len(violations)}"]
-    for x, y, z in violations:
-        lines.append(f"  {fmt(x)}, {fmt(y)}, {fmt(z)}")
+    if violations:
+        # each point formatted once, not once per violation it is in
+        name = {pt.coords: fmt(pt) for pt in enumerate_points(2, ring.p)}
+        lines += [f"  {name[x.coords]}, {name[y.coords]}, {name[z.coords]}"
+                  for x, y, z in violations]
     return "\n".join(lines), 0
 
 

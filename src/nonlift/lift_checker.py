@@ -47,6 +47,7 @@ from .local_ring import (
     LineA,
     LocalRing,
     ProjPointA,
+    _line_violations,
     collinear_A,
     enumerate_lifts,
     line_intersect_A,
@@ -248,24 +249,33 @@ def check_collinearity_preserving(mapping, *args):
     """All collinear triples whose images fail the determinant test.
 
     `mapping` must assign a point of P^2(A) to every point of P^2(F_p).
-    Returns the violating triples; an empty tuple means the map preserves
-    collinearity.  Three images with one shared residue and a zero
-    determinant are undecidable and raise UndecidableCollinearityError.
+    Returns the violating triples in `collinear_triples` order; an empty
+    tuple means the map preserves collinearity.  Each line is decided at
+    once (`local_ring._line_violations`): if its images have distinct
+    residues, the join of the first two is unimodular, so when every other
+    image lies on it, every determinant on the line is zero.  Three images
+    with one shared residue and a zero determinant are undecidable and
+    raise UndecidableCollinearityError.
     """
     ring = _ring_of("check_collinearity_preserving", args)
     p = ring.p
     check_cap(p, PLANE_P_MAX, "prime p")
     points = enumerate_points(2, p)
+    images = []
     for pt in points:
         if pt not in mapping:
             raise MissingAssignmentError(f"no image assigned for {pt!r}")
         img = mapping[pt]
         if not isinstance(img, ProjPointA) or img.ring != ring or img.dim != 2:
             raise InvalidParameterError(f"image of {pt!r} is not a plane point over {ring}")
+        images.append(img)
     violations = []
-    for x, y, z in collinear_triples(p):
-        if not collinear_A(mapping[x], mapping[y], mapping[z]):
-            violations.append((x, y, z))
+    for line in enumerate_lines(2, p):
+        at = line.indices
+        violations += [
+            (points[at[a]], points[at[b]], points[at[c]])
+            for a, b, c in _line_violations(ring, [images[i] for i in at])
+        ]
     return tuple(violations)
 
 
@@ -299,6 +309,8 @@ def _search(ring, budget, pinned):
     """The walk over the points that `pinned` (residue point -> image) leaves
     free: the frame anchors first, then the rest in `enumerate_points` order.
     Every candidate lift tried counts one node.  Returns (maps, nodes).
+    Each point has an image slot, pinned points first, so a found map lists
+    its keys in slot order; `completed[s]` holds the slot triples s completes.
     """
     p = ring.p
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
@@ -307,42 +319,39 @@ def _search(ring, budget, pinned):
     per_point = p ** (2 * (ring.k - 1))
     check_cap((p * p + p + 1 - len(pinned)) * per_point + len(pinned), LIFTS_MAX, "lift count")
 
-    walk = dict.fromkeys((*frame_anchors(p), *enumerate_points(2, p)))  # anchors once, first
-    free = [pt for pt in walk if pt not in pinned]
-    rank = {pt: m for m, pt in enumerate(free)}
-    completed = [[] for _ in free]
-    for triple in collinear_triples(p):
-        r = max(rank.get(x, -1) for x in triple)
-        if r >= 0:
-            completed[r].append(triple)
-    lifts = [enumerate_lifts(pt, ring) for pt in free]
+    points = enumerate_points(2, p)
+    walk = dict.fromkeys((*frame_anchors(p), *points))  # anchors once, first
+    keys = [*pinned, *(pt for pt in walk if pt not in pinned)]
+    slot = {pt: s for s, pt in enumerate(keys)}
+    slot_of = [slot[pt] for pt in points]  # enumerate_points index -> slot
+    completed = [[] for _ in keys]
+    for line in enumerate_lines(2, p):
+        for triple in itertools.combinations([slot_of[i] for i in line.indices], 3):
+            completed[max(triple)].append(triple)
+    n = len(pinned)
+    lifts = [enumerate_lifts(pt, ring) for pt in keys[n:]]
 
-    assignment = dict(pinned)
+    images = [*pinned.values(), *(None for _ in lifts)]
     found = []
     nodes = 0
 
-    def extend(m):
+    def extend(s):
         nonlocal nodes
-        if m == len(free):
-            final = dict(assignment)
+        if s == len(keys):
+            final = dict(zip(keys, images))
             assert not check_collinearity_preserving(final, ring)
             found.append(final)
             return
-        pt = free[m]
-        for cand in lifts[m]:
+        for cand in lifts[s - n]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(nodes, budget)
-            assignment[pt] = cand
+            images[s] = cand
             # lifts of distinct points: distinct residues, always decidable
-            if all(
-                collinear_A(assignment[x], assignment[y], assignment[z])
-                for x, y, z in completed[m]
-            ):
-                extend(m + 1)
-        assignment.pop(pt, None)
+            if all(collinear_A(images[x], images[y], images[z]) for x, y, z in completed[s]):
+                extend(s + 1)
 
-    extend(0)
+    extend(n)
     return tuple(found), nodes
 
 

@@ -555,3 +555,28 @@ def collinear_A(x, y, z):
             " collinearity undecidable"
         )
     return True
+
+
+def _line_violations(ring, pts):
+    """The index triples a < b < c of `pts`, the images of one residue line's
+    points, that fail `collinear_A`, in `itertools.combinations` order.
+
+    If two images share a residue, each triple goes through `collinear_A`,
+    which raises where it cannot decide.  Otherwise every triple is
+    decidable and the join c of the first two images is unimodular (its
+    residue is the join of two distinct points of P^2(F_p)).  If every image
+    is orthogonal to c, each triple's matrix M has Mc = 0, so
+    det(M)·c = adj(M)·Mc = 0 and det(M) = 0: no violation on the line.
+    Otherwise each pair's cross product is computed once and dotted with
+    every later image, which is `collinear_A`'s test.
+    """
+    ns = [x._ns for x in pts]
+    if len({tuple(map(ring._residue, v)) for v in ns}) < len(ns):
+        return [t for t in itertools.combinations(range(len(pts)), 3)
+                if not collinear_A(*(pts[i] for i in t))]
+    join = _cross(ring, ns[0], ns[1])
+    if all(_orthogonal(ring, join, v) for v in ns[2:]):
+        return []
+    return [(a, b, c) for a, b in itertools.combinations(range(len(ns)), 2)
+            for u in [_cross(ring, ns[a], ns[b])]
+            for c, v in enumerate(ns[b + 1:], b + 1) if not _orthogonal(ring, u, v)]

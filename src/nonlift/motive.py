@@ -518,7 +518,9 @@ class InvariantsTable:
         return {
             "dim": self.dim,
             "betti": [_encode_int(b) for b in self.betti],
-            "hodge": [[_encode_int(h) for h in row] for row in self.hodge],
+            # diagonal by construction: encode only the diagonal entries
+            "hodge": [[0] * i + [_encode_int(self.betti[2 * i])] + [0] * (self.dim - i)
+                      for i in range(self.dim + 1)],
             "picard": _encode_int(self.picard),
             "euler": _encode_int(self.euler),
             "palindromic": self.palindromic,

@@ -345,6 +345,12 @@ GOLDEN = [
      "3270f95b9aa1ba02827ded9c0d79d1a1d6fbd3e9710a8bee9bd4956c77de51d2"),
     ("lift propagate --p 211 --ring fpt:2 --format json", 0,
      "d4b3482b9813950aab445d5bb226ceebecf94c6e74eae98b95179d453a9ce855"),
+    # the check at the PLANE_P_MAX cap: 47,226 violations in 1,387,558 bytes
+    # over Z/169, and none over F_13[t]/(t^8)
+    ("lift check --p 13", 0,
+     "25a4207e3a2a9ea53f64234d8f9fcc2aa296bda7e15c417716e25c78866907f7"),
+    ("lift check --p 13 --ring fpt:8", 0,
+     "3c2f6f9a111d0ea8a5513227868ede3cbb03ddce69b047d0a90db94861650106"),
 ]
 
 

@@ -7,6 +7,7 @@ independent oracle for the propagation verdicts.
 
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from nonlift import (
     Frame,
     InvalidParameterError,
     MissingAssignmentError,
+    NonliftError,
     ProjPointA,
     ProjPointFp,
     UndecidableCollinearityError,
@@ -26,8 +28,11 @@ from nonlift import (
     certificate_parse,
     certificate_render,
     check_collinearity_preserving,
+    collinear_A,
     collinear_triples,
     enumerate_lifts,
+    enumerate_lines,
+    enumerate_points,
     extract_used_configuration,
     frame_anchors,
     mp_configuration,
@@ -211,6 +216,9 @@ def test_check_raises_on_undecidable_triple():
     assert triple in collinear_triples(2)
     with pytest.raises(UndecidableCollinearityError):
         check_collinearity_preserving(mapping, Z4)
+    assert _outcome(check_collinearity_preserving, mapping, Z4) == _outcome(
+        _reference_check, mapping, Z4
+    )
     # over Z/27 the same shape of triple has determinant 9 != 0: a violation,
     # listed with the 31 other triples this map breaks
     Z27 = ring_make("zpk", 3, 3)
@@ -218,6 +226,61 @@ def test_check_raises_on_undecidable_triple():
     violations = check_collinearity_preserving(mapping, Z27)
     assert violations[0] == triple
     assert len(violations) == 32
+    assert violations == _reference_check(mapping, Z27)
+
+
+def _reference_check(mapping, ring):
+    """The check triple by triple: `collinear_A` on every collinear triple."""
+    return tuple(t for t in collinear_triples(ring.p) if not collinear_A(*map(mapping.get, t)))
+
+
+def _outcome(check, mapping, ring):
+    """The violations, or the type and message of the error raised."""
+    try:
+        return check(mapping, ring)
+    except NonliftError as exc:
+        return "raises", type(exc), str(exc)
+
+
+def _lift_of(ring, coords, rng):
+    """A seeded point over A whose residue is `coords`."""
+    p = ring.p
+    if ring.kind == "zpk":
+        return ProjPointA(ring, [c + p * rng.randrange(ring.size // p) for c in coords])
+    return ProjPointA(ring, [[c] + [rng.randrange(p) for _ in range(ring.k - 1)] for c in coords])
+
+
+def _seeded_maps(ring, rng):
+    """The coordinate-wise lift with 1-6 points moved inside their residue
+    class, then maps that give two or three points of one line one residue."""
+    points = enumerate_points(2, ring.p)
+    lines = [line.points for line in enumerate_lines(2, ring.p)]
+    for n in range(1, 7):
+        mapping = trivial_lift_map(ring)
+        for pt in rng.sample(points, n):
+            mapping[pt] = _lift_of(ring, pt.coords, rng)
+        yield mapping
+    for shared in (2, 3, 3):
+        mapping = trivial_lift_map(ring)
+        line = rng.choice(lines)
+        group = rng.sample(line, shared)
+        for pt in group:
+            mapping[pt] = _lift_of(ring, group[0].coords, rng)
+        yield mapping
+
+
+@pytest.mark.parametrize("kind", ["zpk", "fpt"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_check_agrees_with_triple_by_triple_reference(p, kind, k):
+    # the per-line check returns what collinear_A on every triple returns,
+    # violations in the same order, or raises the same error
+    ring = ring_make(kind, p, k)
+    rng = random.Random(1000 * p + 10 * k + (kind == "fpt"))
+    for mapping in _seeded_maps(ring, rng):
+        assert _outcome(check_collinearity_preserving, mapping, ring) == _outcome(
+            _reference_check, mapping, ring
+        )
 
 
 def test_check_requires_total_map():
@@ -294,6 +357,21 @@ def test_search_over_all_frames_map_order():
     assert [tuple(m[a] for a in anchors) for m in maps] == list(
         itertools.product(*(enumerate_lifts(a, F2T) for a in anchors))
     )
+
+
+def test_found_maps_list_pinned_then_free_points():
+    # a map lists the pinned points first (the standard frame, in anchor
+    # order), then the free ones in walk order; the every-frame walk pins
+    # nothing and walks the anchors first, so its maps list the same order
+    for ring in (F2T, ring_make("fpt", 3, 2), ring_make("fpt", 2, 3)):
+        anchors = frame_anchors(ring.p)
+        order = [*anchors, *(pt for pt in enumerate_points(2, ring.p) if pt not in anchors)]
+        maps = list(brute_force_lift_search(ring).maps)
+        if ring == F2T:
+            maps += search_over_all_frames(ring)[0]
+        assert maps
+        for m in maps:
+            assert list(m) == order
 
 
 def test_search_over_all_frames_budget_is_one_total():

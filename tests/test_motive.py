@@ -452,6 +452,18 @@ def test_invariants_json_round_trip():
     assert InvariantsTable.from_json(doc) == tab
 
 
+def test_invariants_hodge_json_is_the_encoded_table():
+    # to_json writes the diagonal rows directly; they must be the dense
+    # table encoded entry by entry, with entries past 2^53 - 1 as strings
+    for v in (construction_one_class(flag_class_typeA(3)),
+              VarietyClass(name="big", dim=2, cls=LPolynomial((1, 2**60, 1)))):
+        tab = invariants_table(v)
+        rows = tab.to_json()["hodge"]
+        want = [[h if abs(h) < 2**53 else str(h) for h in row] for row in tab.hodge]
+        assert rows == want
+        assert [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in want]
+
+
 def test_invariants_de_rham_flag_is_not_stored():
     # the flag holds for every cellular class, so it is a property, and a
     # document claiming otherwise is refused
