@@ -201,9 +201,9 @@ class _Space:
         """The line through the independent coordinate vectors u and v."""
         return LineFp._of(self, tuple(self.span(_row_reduce([u, v], self.p)[0])))
 
-    def annihilator(self, rows):
-        """Sorted indices of the points x with r . x = 0 for every row r."""
-        return tuple(self.span(_row_reduce(_kernel(rows, self.p), self.p)[0]))
+    def hyperplane(self, d):
+        """Sorted indices of the points x with d . x = 0, for a nonzero vector d."""
+        return tuple(self.span(_row_reduce(_kernel([d], self.p), self.p)[0]))
 
 
 class LineFp:
@@ -218,10 +218,11 @@ class LineFp:
     __slots__ = ("p", "indices", "_space", "_points")
 
     def __init__(self, points):
-        points = tuple(points)
-        if not points:
-            raise InvalidParameterError("a line needs points")
-        first = points[0]
+        try:
+            points = tuple(points)
+            first = points[0]
+        except (TypeError, IndexError):
+            raise InvalidParameterError(f"a line needs points, got {points!r}") from None
         if any(not isinstance(pt, ProjPointFp) or pt.p != first.p or pt.dim != first.dim
                for pt in points):
             raise InvalidParameterError("line points must share one ambient space")
@@ -257,10 +258,6 @@ class LineFp:
         if self._points is None:
             object.__setattr__(self, "_points", tuple(map(self._space.point, self.indices)))
         return self._points
-
-    def _first_coords(self):
-        """Coordinates of two points spanning the line."""
-        return [self._space.coords(i) for i in self.indices[:2]]
 
     def __contains__(self, pt):
         if not isinstance(pt, ProjPointFp) or pt.p != self.p or pt.dim != self.dim:
@@ -301,12 +298,11 @@ def line_through(x, y):
 
 
 def _rank(pts, kind):
-    p = pts[0].p
-    dim = pts[0].dim
+    first = pts[0]
     for pt in pts:
-        if not isinstance(pt, ProjPointFp) or pt.p != p or pt.dim != dim:
+        if not isinstance(pt, ProjPointFp) or pt.p != first.p or pt.dim != first.dim:
             raise InvalidParameterError(f"{kind} expects points of one ambient space")
-    return len(_row_reduce([pt.coords for pt in pts], p)[1])
+    return len(_row_reduce([pt.coords for pt in pts], first.p)[1])
 
 
 def collinear(x, y, z):
@@ -364,6 +360,21 @@ def _kernel(rows, p):
     return basis
 
 
+def _dual(rows, p):
+    """The dual point of the one hyperplane through the points with coordinates `rows`."""
+    basis = _kernel(rows, p) if rows else ()
+    if len(basis) != 1:
+        raise InvalidParameterError("plane members do not lie on exactly one plane")
+    return ProjPointFp(basis[0], p)
+
+
+def _check_dual(d, n, kind):
+    if not isinstance(d, ProjPointFp):
+        raise InvalidParameterError(f"a {kind} dual must be a ProjPointFp, got {d!r}")
+    if d.dim != n:
+        raise UnsupportedDimensionError(f"{kind} duals live in ambient dimension {n}")
+
+
 def enumerate_points(n, p):
     """All points of P^n(F_p) in ascending lexicographic coordinate order."""
     check_prime(p)
@@ -417,17 +428,18 @@ def point_line_counts(n, p):
 
 def line_dual(line):
     """Dual point of a line in P^2 (coefficients of its linear equation)."""
+    if not isinstance(line, LineFp):
+        raise InvalidParameterError(f"line_dual expects a LineFp, got {line!r}")
     if line.dim != 2:
         raise UnsupportedDimensionError("line duals live in ambient dimension 2")
-    (d,) = _kernel(line._first_coords(), line.p)
-    return ProjPointFp(d, line.p)
+    return _dual([line._space.coords(i) for i in line.indices[:2]], line.p)
 
 
 def line_from_dual(d):
     """Line of P^2 cut out by the linear form with coefficient vector d."""
-    if d.dim != 2:
-        raise UnsupportedDimensionError("line duals live in ambient dimension 2")
-    return _Space(2, d.p).line(*_kernel([d.coords], d.p))
+    _check_dual(d, 2, "line")
+    space = _Space(2, d.p)
+    return LineFp._of(space, space.hyperplane(d.coords))
 
 
 @dataclass(frozen=True)
@@ -436,10 +448,13 @@ class PlaneFp:
 
     dual: ProjPointFp
 
+    def __post_init__(self):
+        _check_dual(self.dual, 3, "plane")
+
     @cached_property
     def indices(self):
         """Sorted indices of its points, the points its dual annihilates."""
-        return _Space(self.dual.dim, self.dual.p).annihilator([self.dual.coords])
+        return _Space(3, self.dual.p).hyperplane(self.dual.coords)
 
 
 @dataclass(frozen=True)
@@ -498,10 +513,7 @@ class IncidenceConfig:
             check_cap(len(d["lines"]) * (p + 1), INCLUSIONS_MAX, "configuration line points")
             points = [ProjPointFp(c, p) for c in d["points"]]
             lines = [line_through(*(points[i] for i in members[:2])) for members in d["lines"]]
-            planes = [
-                PlaneFp(_plane_dual_from_members([points[i] for i in members], p))
-                for members in d["planes"]
-            ]
+            planes = [PlaneFp(_dual([points[i].coords for i in m], p)) for m in d["planes"]]
             return cls.from_members(points, lines, planes)
 
         return read_back(doc, build, cls.to_json, "configuration")
@@ -510,15 +522,15 @@ class IncidenceConfig:
     def from_members(cls, points, lines, planes=()):
         """Configuration of the given points, lines and planes.
 
-        Lists every point of `points` on each line and plane, then every
-        line lying in each plane, read off the planes through the line (the
-        points of its dual line); members outside `points` are left out.
+        Lists every point of `points` on each line and plane (members outside
+        `points` are left out), then every line lying in each plane: a line
+        lies in a plane exactly when its first two points do, given or not.
         The points, lines and plane duals must share one space (P^3 if there
         are planes), and the points, the lines and the planes must each be
         distinct.
         """
         kinds = {(x.p, x.dim) for x in (*points, *lines, *(plane.dual for plane in planes))}
-        if not points or len(kinds) != 1 or (planes and points[0].dim != 3):
+        if not points or len(kinds) != 1:
             raise InvalidParameterError("configuration points, lines and planes must share one space")
         space = _Space(points[0].dim, points[0].p)
         at = {space.index(pt.coords): i for i, pt in enumerate(points)}
@@ -533,18 +545,18 @@ class IncidenceConfig:
             for i in line.indices
             if i in at
         ]
+        through = {}  # point index -> the given planes through that point
         for pi, plane in enumerate(planes):
             members = sorted(at[i] for i in plane.indices if i in at)
             inclusions.extend((i, plane_off + pi) for i in members)
-        if planes:
-            plane_at = {space.index(plane.dual.coords): pi for pi, plane in enumerate(planes)}
-            line_in_plane = sorted(
-                (plane_at[d], li)
-                for li, line in enumerate(lines)
-                for d in space.annihilator(line._first_coords())
-                if d in plane_at
-            )
-            inclusions.extend((line_off + li, plane_off + pi) for pi, li in line_in_plane)
+            for i in plane.indices:
+                through.setdefault(i, set()).add(pi)
+        line_in_plane = sorted(
+            (pi, li)
+            for li, line in enumerate(lines)
+            for pi in through.get(line.indices[0], set()) & through.get(line.indices[1], set())
+        )
+        inclusions.extend((line_off + li, plane_off + pi) for pi, li in line_in_plane)
         return cls(
             dim=space.n,
             p=space.p,
@@ -553,13 +565,6 @@ class IncidenceConfig:
             planes=tuple(planes),
             inclusions=tuple(inclusions),
         )
-
-
-def _plane_dual_from_members(members, p):
-    basis = _kernel([pt.coords for pt in members], p) if members else ()
-    if len(basis) != 1:
-        raise InvalidParameterError("plane members do not lie on exactly one plane")
-    return ProjPointFp(basis[0], p)
 
 
 def _check_config_size(n, p):

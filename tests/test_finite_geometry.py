@@ -6,6 +6,7 @@ tests so a regression shows both sides.
 """
 
 import itertools
+import random
 import time
 
 import pytest
@@ -270,6 +271,39 @@ def test_from_members_decides_line_in_plane_from_the_line():
     assert cfg.to_json()["planes"] == [[0, 1]]
 
 
+def _on_plane(pt, plane):
+    return sum(a * b for a, b in zip(pt.coords, plane.dual.coords)) % pt.p == 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_line_in_plane_matches_member_dot_reference(p, seed):
+    # random points, lines and planes of P^3(F_p), with one line whose first
+    # point and one whose second point lie on no given plane; a line lies in
+    # a plane when every one of its points is orthogonal to the plane's dual
+    rng = random.Random(seed)
+    points = enumerate_points(3, p)
+    all_lines = enumerate_lines(3, p)
+    lx, ly = rng.sample(all_lines, 2)
+    x, y = lx.points[0], ly.points[1]
+    planes = [PlaneFp(d) for d in points]
+    planes = [pl for pl in planes if not _on_plane(x, pl) and not _on_plane(y, pl)]
+    planes = rng.sample(planes, len(planes) * 3 // 4)
+    lines = [ln for ln in rng.sample(all_lines, len(all_lines) // 3) if ln not in (lx, ly)]
+    lines += [lx, ly]
+    rng.shuffle(lines)
+    given = rng.sample(points, len(points) // 3)
+    cfg = IncidenceConfig.from_members(given, lines, planes)
+    expected = [
+        (cfg.line_offset + li, cfg.plane_offset + pi)
+        for pi, pl in enumerate(planes)
+        for li, ln in enumerate(lines)
+        if all(_on_plane(pt, pl) for pt in ln.points)
+    ]
+    assert expected
+    assert [pair for pair in cfg.inclusions if pair[0] >= cfg.line_offset] == expected
+
+
 def test_line_through_rejects_equal_points():
     a = ProjPointFp((1, 2, 1), 3)
     b = ProjPointFp((2, 4, 2), 3)
@@ -459,6 +493,11 @@ def test_from_json_rejects_non_coplanar_plane():
     doc["planes"] = [[0, 1, 2]]
     doc["inclusions"] = [[0, 4], [1, 4], [2, 4]]
     assert IncidenceConfig.from_json(doc).planes[0].dual == ProjPointFp((0, 0, 0, 1), 2)
+    # three points of one line lie on three planes, so they name no plane either
+    doc["points"] = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 1, 1]]
+    doc["inclusions"] = [[0, 3], [1, 3], [2, 3]]
+    with pytest.raises(InvalidParameterError, match="exactly one plane"):
+        IncidenceConfig.from_json(doc)
 
 
 def test_from_json_derives_line_and_plane_members():
@@ -485,3 +524,29 @@ def test_line_cross_field_mismatch():
     b = ProjPointFp((0, 1, 0), 3)
     with pytest.raises(InvalidParameterError):
         line_through(a, b)
+
+
+# wrong argument types and spaces, each with the error it must raise
+WRONG_ARGUMENTS = {
+    "line_dual(5)": (lambda: line_dual(5), InvalidParameterError),
+    "line_dual(P3 line)": (lambda: line_dual(enumerate_lines(3, 2)[0]), UnsupportedDimensionError),
+    "line_from_dual((1, 0, 0))": (lambda: line_from_dual((1, 0, 0)), InvalidParameterError),
+    "line_from_dual(P3 point)": (
+        lambda: line_from_dual(ProjPointFp((1, 0, 0, 0), 2)), UnsupportedDimensionError
+    ),
+    "collinear(1, 2, 3)": (lambda: collinear(1, 2, 3), InvalidParameterError),
+    "coplanar(1, 2, 3, 4)": (lambda: coplanar(1, 2, 3, 4), InvalidParameterError),
+    "LineFp(5)": (lambda: LineFp(5), InvalidParameterError),
+    "LineFp([])": (lambda: LineFp([]), InvalidParameterError),
+    "PlaneFp(5)": (lambda: PlaneFp(5).indices, InvalidParameterError),
+    "PlaneFp(P2 point)": (
+        lambda: PlaneFp(ProjPointFp((1, 0, 0), 3)).indices, UnsupportedDimensionError
+    ),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_ARGUMENTS)
+def test_wrong_arguments_rejected(call):
+    function, error = WRONG_ARGUMENTS[call]
+    with pytest.raises(error):
+        function()
