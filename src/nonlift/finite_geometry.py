@@ -529,6 +529,13 @@ class IncidenceConfig:
         are planes), and the points, the lines and the planes must each be
         distinct.
         """
+        for name, group, kind in (
+            ("points", points, ProjPointFp), ("lines", lines, LineFp), ("planes", planes, PlaneFp)
+        ):
+            if not isinstance(group, (tuple, list)) or not all(isinstance(x, kind) for x in group):
+                raise InvalidParameterError(
+                    f"configuration {name} must be a list of {kind.__name__}"
+                )
         kinds = {(x.p, x.dim) for x in (*points, *lines, *(plane.dual for plane in planes))}
         if not points or len(kinds) != 1:
             raise InvalidParameterError("configuration points, lines and planes must share one space")

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
-    IndeterminateIntersectionError,
     InvalidParameterError,
     MissingAssignmentError,
     check_cap,
@@ -57,12 +56,12 @@ from .local_ring import (
 VERDICT_BLOCKED = "non-liftable"
 VERDICT_OPEN = "liftable-not-excluded"
 
-# Size caps, checked before anything is enumerated.  The search and the
-# collinearity check first list all (p^2+p+1)·C(p+1,3) collinear triples of
-# P^2(F_p), 66,612 at p = 13; the search also builds its lifts up front:
-# (p^2+p+1-n)·p^(2(k-1)) + n with n points pinned, 4 for the standard frame
-# and 0 over every frame; propagation stores 2p steps.  The ring length is
-# capped by local_ring.K_MAX.
+# Size caps, checked before anything is enumerated.  The search first lists
+# all (p^2+p+1)·C(p+1,3) collinear triples of P^2(F_p), 66,612 at p = 13,
+# and builds its lifts up front: (p^2+p+1-n)·p^(2(k-1)) + n with n points
+# pinned, 4 for the standard frame and 0 over every frame.  The collinearity
+# check decides each of the p^2+p+1 lines at once; propagation stores 2p
+# steps.  The ring length is capped by local_ring.K_MAX.
 PLANE_P_MAX = 13
 LIFTS_MAX = 50_000
 PROPAGATE_P_MAX = 5000
@@ -213,22 +212,17 @@ def propagate_forced_lift(*args):
         (p, 0, 1),
     )
 
-    trace = PropagationTrace(ring=ring, steps=tuple(steps))
-    obstruction = _obstruction(trace)
-    assert (final == e2_img) == obstruction.is_zero
-    return trace, obstruction
-
-
-def _obstruction(trace):
-    """The closing comparison of a trace: its last derived point against the
-    pinned image of (0:0:1), decided by the element p·1."""
-    element = trace.ring.p_one
-    return Obstruction(
+    # the closing comparison against the pinned image of (0:0:1) is decided
+    # by the element p·1
+    element = ring.p_one
+    obstruction = Obstruction(
         element=element,
-        derived=trace.steps[-1].derived,
-        required=trace.frame.images[2],
+        derived=final,
+        required=e2_img,
         verdict=VERDICT_OPEN if element.is_zero else VERDICT_BLOCKED,
     )
+    assert (final == e2_img) == obstruction.is_zero
+    return PropagationTrace(ring=ring, steps=tuple(steps)), obstruction
 
 
 def collinear_triples(p):
@@ -389,12 +383,7 @@ def extract_used_configuration(trace):
     if not isinstance(trace, PropagationTrace):
         raise InvalidParameterError("extract_used_configuration expects a PropagationTrace")
     points = trace.pinned_points()
-    duals = []
-    for step in trace.steps:
-        for line in (step.line1, step.line2):
-            d = line.dual.reduce()
-            if d not in duals:
-                duals.append(d)
+    duals = {line.dual.reduce() for step in trace.steps for line in (step.line1, step.line2)}
     lines = sorted(line_from_dual(d) for d in duals)
     return IncidenceConfig.from_members(points, lines)
 
@@ -426,14 +415,13 @@ def certificate_json(trace, obstruction):
 
 
 def certificate_parse(doc):
-    """Rebuild (trace, obstruction) from a certificate document or its JSON text.
+    """The (trace, obstruction) of a certificate document or its JSON text.
 
-    Every step is replayed: its derived point must be the meet of its two
-    lines and reduce to its target.  That the lines are joins of earlier
-    pinned points is not checked.  The obstruction is rebuilt from the
-    trace, so through `errors.read_back` the document is accepted only if
-    `certificate_json` writes it back: the frame tag, the element p·1,
-    `isZero` and the verdict must be the ones the ring implies.
+    A ring has exactly one certificate, so the document's ring is read and
+    its forced chain run again with `propagate_forced_lift`; through
+    `errors.read_back` the document is accepted only if it is the one
+    `certificate_json` writes for that ring, step for step.  This reads a
+    certificate back; it does not check one independently of the prover.
     """
     if isinstance(doc, str):
         try:
@@ -448,25 +436,7 @@ def _parse_certificate(doc):
     p = ring.p
     if not isinstance(doc["p"], int) or doc["p"] != p:
         raise InvalidParameterError(f"certificate p {doc['p']!r} differs from its ring's p {p}")
-    steps = []
-    for i, raw in enumerate(doc["steps"], start=1):
-        step = DerivationStep(
-            target=ProjPointFp(raw["target"], p),
-            line1=LineA(ProjPointA(ring, raw["line1"]["dual"])),
-            line2=LineA(ProjPointA(ring, raw["line2"]["dual"])),
-            derived=ProjPointA(ring, raw["derived"]),
-        )
-        try:
-            meet = line_intersect_A(step.line1, step.line2)
-        except IndeterminateIntersectionError as exc:
-            raise InvalidParameterError(f"certificate step {i}: {exc}") from None
-        if step.derived != meet:
-            raise InvalidParameterError(f"certificate step {i}: derived point is not the meet")
-        if step.derived.reduce() != step.target:
-            raise InvalidParameterError(f"certificate step {i}: derived point misses its target")
-        steps.append(step)
-    trace = PropagationTrace(ring=ring, steps=tuple(steps))
-    return trace, _obstruction(trace)
+    return propagate_forced_lift(ring)
 
 
 def _fmt_point(pt):

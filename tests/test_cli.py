@@ -380,6 +380,15 @@ def test_golden_outputs(capsys, tmp_path):
         assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest), argv
 
 
+def test_golden_certificates_are_read_back(capsys):
+    for argv, code, _ in GOLDEN:
+        if argv.startswith("lift propagate") and argv.endswith("--format json"):
+            got, out, _ = run(capsys, *argv.split())
+            assert got == code, argv
+            verdict = certificate_parse(out)[1].verdict
+            assert verdict == ("non-liftable" if code == 2 else "liftable-not-excluded"), argv
+
+
 def test_usage_errors_exit_1(capsys):
     cases = [
         ("lift", "propagate", "--p", "2", "--ring", "zpk"),

@@ -542,6 +542,12 @@ WRONG_ARGUMENTS = {
     "PlaneFp(P2 point)": (
         lambda: PlaneFp(ProjPointFp((1, 0, 0), 3)).indices, UnsupportedDimensionError
     ),
+    "from_members([pt], [5])": (
+        lambda: IncidenceConfig.from_members([ProjPointFp((1, 0, 0), 3)], [5]),
+        InvalidParameterError,
+    ),
+    "from_members([5], [])": (lambda: IncidenceConfig.from_members([5], []), InvalidParameterError),
+    "from_members(5, [])": (lambda: IncidenceConfig.from_members(5, []), InvalidParameterError),
 }
 
 

@@ -35,6 +35,7 @@ from nonlift import (
     enumerate_points,
     extract_used_configuration,
     frame_anchors,
+    line_through_A,
     mp_configuration,
     propagate_forced_lift,
     ring_make,
@@ -489,13 +490,20 @@ def test_certificate_parse_rejects_forgeries():
             certificate_parse(doc)
             cases += _forgeries(doc, ring)
     # the forgeries first reproduced on a p=3 certificate over Z/9
-    doc = certificate_json(*propagate_forced_lift(ring_make("zpk", 3, 2)))
+    z9 = ring_make("zpk", 3, 2)
+    doc = certificate_json(*propagate_forced_lift(z9))
+    steps = doc["steps"]
+    # another line through step 3's meet: the join of its derived point and (3:1:0)
+    other = line_through_A(ProjPointA(z9, steps[2]["derived"]), ProjPointA(z9, (3, 1, 0)))
+    assert other.to_json() != steps[2]["line1"]
     cases += [
         _with_step2(doc, derived=[1, 5, 7]),
         _with_step2(doc, line1={"dual": [1, 1, 1]}),
         _with_step2(doc, line1=doc["steps"][1]["line2"]),  # no unique meet
         dict(doc, obstruction={"element": 6, "isZero": False}),
         dict(doc, verdict=VERDICT_OPEN),
+        dict(doc, steps=[*steps[:2], dict(steps[2], line1=other.to_json()), *steps[3:]]),
+        dict(doc, steps=[*steps[:3], *steps[4:]]),  # step 4 deleted
     ]
     for bad in cases:
         with pytest.raises(InvalidParameterError):
