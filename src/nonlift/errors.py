@@ -84,7 +84,9 @@ def write_json(doc):
     tuples, ints, bools, None and str.  Anything else raises TypeError.
 
     Each container is one `join` of its rendered items, so no list of every
-    small piece of the document is ever held.
+    small piece of the document is ever held.  Items of exact type int are
+    rendered in place; every other item, bools and int subclasses included,
+    goes through `_write`.
     """
     return _write(doc, "\n")
 
@@ -104,12 +106,17 @@ def _write(value, newline):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        body = ("," + inner).join([_write(v, inner) for v in value])
+        body = ("," + inner).join([
+            int.__repr__(v) if type(v) is int else _write(v, inner) for v in value
+        ])
         return f"[{inner}{body}{newline}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = ("," + inner).join([f"{_key(k)}: {_write(v, inner)}" for k, v in value.items()])
+        body = ("," + inner).join([
+            f"{_key(k)}: {int.__repr__(v) if type(v) is int else _write(v, inner)}"
+            for k, v in value.items()
+        ])
         return f"{{{inner}{body}{newline}}}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

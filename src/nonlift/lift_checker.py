@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BudgetExceededError,
@@ -38,6 +39,7 @@ from .errors import (
 from .finite_geometry import (
     IncidenceConfig,
     ProjPointFp,
+    _point,
     enumerate_lines,
     enumerate_points,
     line_from_dual,
@@ -46,11 +48,13 @@ from .local_ring import (
     LineA,
     LocalRing,
     ProjPointA,
+    _is_at,
+    _join,
     _line_violations,
+    _meet,
+    _point_A,
     collinear_A,
     enumerate_lifts,
-    line_intersect_A,
-    line_through_A,
 )
 
 VERDICT_BLOCKED = "non-liftable"
@@ -101,10 +105,15 @@ class DerivationStep:
 
 @dataclass(frozen=True)
 class PropagationTrace:
-    """The full forced chain, ending in the step that closes the loop."""
+    """The full forced chain, ending in the step that closes the loop.
+
+    The chain is kept as the coordinate-integer triples of each step
+    (derived point, line-1 dual, line-2 dual); `steps` wraps them as
+    `DerivationStep`s when first read.
+    """
 
     ring: LocalRing
-    steps: tuple
+    _chain: tuple
 
     @property
     def p(self):
@@ -114,10 +123,25 @@ class PropagationTrace:
     def frame(self):
         return Frame(self.ring)
 
+    @cached_property
+    def steps(self):
+        ring = self.ring
+        out = []
+        for derived, dual1, dual2 in self._chain:
+            pt = _point_A(ring, derived)
+            out.append(DerivationStep(target=pt.reduce(), line1=LineA(_point_A(ring, dual1)),
+                                      line2=LineA(_point_A(ring, dual2)), derived=pt))
+        return tuple(out)
+
+    def _residue_points(self, triples):
+        """The residue points of canonical triples, each canonical over F_p too."""
+        residue, p = self.ring._residue, self.p
+        return {_point(tuple(map(residue, ns)), p) for ns in triples}
+
     def pinned_points(self):
         """Every residue point whose image the trace pinned, sorted."""
-        pts = set(frame_anchors(self.p))
-        pts.update(step.target for step in self.steps)
+        pts = self._residue_points(derived for derived, _, _ in self._chain)
+        pts.update(frame_anchors(self.p))
         return tuple(sorted(pts))
 
     def assignment(self):
@@ -164,65 +188,51 @@ def propagate_forced_lift(*args):
     well-defined (distinct residues); this is asserted at each step, as is
     the derived-coordinate law: the n-th axis point comes out at
     (n*1 : 0 : 1) and the n-th diagonal point at ((n+1)*1 : 1 : 1),
-    projectively.
+    projectively.  The chain runs on the points' coordinate-integer
+    triples, joined and met by `local_ring._join` and `local_ring._meet`.
     """
     ring = _ring_of("propagate_forced_lift", args)
     p = ring.p
     check_cap(p, PROPAGATE_P_MAX, "prime p")
-    e0_img, e1_img, e2_img, unit_img = Frame(ring).images
-    steps = []
+    images = Frame(ring).images
+    e0, e1, e2, unit = (img._ns for img in images)
+    chain = []
 
-    def derive(la, lb, expected_coords):
+    def derive(dual1, dual2, expected_coords):
         # the law fixes the derived point, so its residue point is the target
-        pt = line_intersect_A(la, lb)
-        assert pt._is_at(expected_coords), (
-            f"derived {pt!r} violates the derived-coordinate law,"
+        pt = _meet(ring, dual1, dual2)
+        assert _is_at(ring, pt, expected_coords), (
+            f"derived {_point_A(ring, pt)!r} violates the derived-coordinate law,"
             f" expected {ProjPointA(ring, expected_coords)!r}"
         )
-        steps.append(DerivationStep(target=pt.reduce(), line1=la, line2=lb, derived=pt))
+        chain.append((pt, dual1, dual2))
         return pt
 
     # the fifth frame-determined point (1:1:0)
-    corner = derive(
-        line_through_A(e2_img, unit_img),
-        line_through_A(e0_img, e1_img),
-        (1, 1, 0),
-    )
+    corner = derive(_join(ring, e2, unit), _join(ring, e0, e1), (1, 1, 0))
 
-    axis_line = line_through_A(e2_img, e0_img)      # residue line y = 0
-    diag_line = line_through_A(unit_img, e0_img)    # residue line y = z
-    prev_diag = unit_img                            # image of (1:1:1)
+    axis_line = _join(ring, e2, e0)     # residue line y = 0
+    diag_line = _join(ring, unit, e0)   # residue line y = z
+    prev_diag = unit                    # image of (1:1:1)
     for n in range(1, p):
-        axis_pt = derive(
-            line_through_A(prev_diag, e1_img),
-            axis_line,
-            (n, 0, 1),
-        )
-        prev_diag = derive(
-            line_through_A(axis_pt, corner),
-            diag_line,
-            (n + 1, 1, 1),
-        )
+        axis_pt = derive(_join(ring, prev_diag, e1), axis_line, (n, 0, 1))
+        prev_diag = derive(_join(ring, axis_pt, corner), diag_line, (n + 1, 1, 1))
 
     # closing step: one more walk along the axis lands on (p*1 : 0 : 1),
     # whose target residue is the already-pinned (0:0:1)
-    final = derive(
-        line_through_A(prev_diag, e1_img),
-        axis_line,
-        (p, 0, 1),
-    )
+    final = derive(_join(ring, prev_diag, e1), axis_line, (p, 0, 1))
 
     # the closing comparison against the pinned image of (0:0:1) is decided
     # by the element p·1
     element = ring.p_one
     obstruction = Obstruction(
         element=element,
-        derived=final,
-        required=e2_img,
+        derived=_point_A(ring, final),
+        required=images[2],
         verdict=VERDICT_OPEN if element.is_zero else VERDICT_BLOCKED,
     )
-    assert (final == e2_img) == obstruction.is_zero
-    return PropagationTrace(ring=ring, steps=tuple(steps)), obstruction
+    assert (final == e2) == obstruction.is_zero
+    return PropagationTrace(ring=ring, _chain=tuple(chain)), obstruction
 
 
 def collinear_triples(p):
@@ -383,7 +393,7 @@ def extract_used_configuration(trace):
     if not isinstance(trace, PropagationTrace):
         raise InvalidParameterError("extract_used_configuration expects a PropagationTrace")
     points = trace.pinned_points()
-    duals = {line.dual.reduce() for step in trace.steps for line in (step.line1, step.line2)}
+    duals = trace._residue_points(dual for _, *duals in trace._chain for dual in duals)
     lines = sorted(line_from_dual(d) for d in duals)
     return IncidenceConfig.from_members(points, lines)
 
@@ -393,18 +403,20 @@ def extract_used_configuration(trace):
 
 def certificate_json(trace, obstruction):
     """The replayable JSON document for a propagation run."""
+    ring = trace.ring
+    residue, js = ring._residue, ring._json
     return {
         "p": trace.p,
-        "ring": trace.ring.to_json(),
+        "ring": ring.to_json(),
         "frame": "standard",
         "steps": [
             {
-                "target": list(step.target.coords),
-                "line1": step.line1.to_json(),
-                "line2": step.line2.to_json(),
-                "derived": step.derived._coords_json(),
+                "target": list(map(residue, derived)),
+                "line1": {"dual": list(map(js, dual1))},
+                "line2": {"dual": list(map(js, dual2))},
+                "derived": list(map(js, derived)),
             }
-            for step in trace.steps
+            for derived, dual1, dual2 in trace._chain
         ],
         "obstruction": {
             "element": obstruction.element.to_json(),
@@ -453,18 +465,19 @@ def certificate_render(trace, obstruction, format="text"):
     if format != "text":
         raise InvalidParameterError(f"unknown certificate format {format!r}")
     ring = trace.ring
+    residue, text = ring._residue, ring._text
     lines = [
         "lift propagation certificate",
         f"p: {trace.p}",
         f"ring: {ring}",
         "frame: standard (1:0:0), (0:1:0), (0:0:1), (1:1:1)",
-        f"steps: {len(trace.steps)}",
+        f"steps: {len(trace._chain)}",
     ]
-    for i, step in enumerate(trace.steps, start=1):
+    for i, (derived, dual1, dual2) in enumerate(trace._chain, start=1):
         lines.append(
-            f"step {i}: target {_fmt_point(step.target)}"
-            f" = meet of duals {_fmt_point(step.line1.dual)} and {_fmt_point(step.line2.dual)}"
-            f" -> {_fmt_point(step.derived)}"
+            f"step {i}: target ({':'.join([str(residue(n)) for n in derived])})"
+            f" = meet of duals ({':'.join(map(text, dual1))}) and ({':'.join(map(text, dual2))})"
+            f" -> ({':'.join(map(text, derived))})"
         )
     lines.append(
         f"closing comparison: derived {_fmt_point(obstruction.derived)}"

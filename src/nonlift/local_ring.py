@@ -19,11 +19,14 @@ A point stores its coordinates' integers, normalized once; `coords` wraps
 them as `RingElem`s only when read, and the renderers format the integers.
 
 Lines in the projective plane over A are represented by their dual
-coordinate vectors.  Join and meet are then one operation, the normalized
-cross product of two points with distinct residues (of two line duals, for
-a meet), and three points are collinear when the cross product of two of
-them is orthogonal to the third; both read the stored integers directly.
-Residue tests compare residue lists.
+coordinate vectors.  Join and meet are then one operation, `_span`, the
+normalized cross product of two canonical coordinate-integer triples (two
+points, or two line duals for a meet), and three points are collinear when
+the cross product of two of them is orthogonal to the third; both read the
+stored integers directly.  Join and meet read their residue test off the
+cross product: it has a unit coordinate exactly when the two residues
+differ.  The forced chain of `lift_checker` runs on the triples through
+`_join` and `_meet`; the public functions wrap them in points and lines.
 """
 
 from __future__ import annotations
@@ -112,7 +115,10 @@ class LocalRing:
 
     def _decode(self, n):
         """The canonical representation of a stored integer."""
-        return n if self.kind == "zpk" else tuple(n >> s & self._mask for s in self._shifts)
+        if self.kind == "zpk":
+            return n
+        mask = self._mask
+        return tuple([n >> s & mask for s in self._shifts])
 
     def _json(self, n):
         """The JSON form of a stored integer: the residue, or the coefficient list."""
@@ -292,8 +298,11 @@ class RingElem:
 
 
 def _inverse(ring, n):
-    """The inverse of the unit stored as n: Newton's step b -> b(2 - nb) from the
-    residue's inverse doubles the power of p (or t) that nb - 1 is divisible by."""
+    """The inverse of the unit stored as n.  Over Z/p^k it is one modular
+    inverse; over F_p[t]/(t^k), Newton's step b -> b(2 - nb) from the residue's
+    inverse doubles the power of t that nb - 1 is divisible by."""
+    if ring.kind == "zpk":
+        return pow(n, -1, ring.size)
     reduce, bias = ring._reduce, ring._bias
     b = pow(ring._residue(n), -1, ring.p)
     for _ in range((ring.k - 1).bit_length()):
@@ -354,15 +363,6 @@ class ProjPointA:
         """Image in P^n(F_p) under the residue map."""
         return _point(tuple(map(self.ring._residue, self._ns)), self.ring.p)
 
-    def _is_at(self, ints):
-        """Whether this plane point is (a*1 : b*1 : c*1) for integers (a, b, c)
-        in [0, p] with a unit among them, read on the stored integers: the two
-        triples' cross product vanishes, which for two triples with a unit
-        coordinate is projective equality."""
-        ring = self.ring
-        v = list(map(ring._reduce, ints))
-        return any(map(ring._residue, v)) and not any(_cross(ring, self._ns, v))
-
     def __eq__(self, other):
         if not isinstance(other, ProjPointA):
             return NotImplemented
@@ -395,13 +395,13 @@ class ProjPointA:
 def _normalize(ring, ns):
     """Stored coordinate integers scaled so that the first unit is 1."""
     residue = ring._residue
-    pivot = next((n for n in ns if residue(n)), None)
-    if pivot is None:
-        raise NotAProjectivePointError(
-            f"no unit coordinate in {[ring._text(n) for n in ns]} over {ring}"
-        )
-    reduce, inv = ring._reduce, _inverse(ring, pivot)
-    return tuple(reduce(n * inv) for n in ns)
+    for pivot in ns:
+        if residue(pivot):
+            reduce, inv = ring._reduce, _inverse(ring, pivot)
+            return tuple([reduce(n * inv) for n in ns])
+    raise NotAProjectivePointError(
+        f"no unit coordinate in {[ring._text(n) for n in ns]} over {ring}"
+    )
 
 
 def _point_A(ring, ns):
@@ -467,20 +467,51 @@ def _orthogonal(ring, u, v):
     return not ring._reduce(u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
 
 
-def _cross_point(x, y, error, message):
-    """The normalized cross product of two plane points with distinct residues.
+def _span(ring, u, v):
+    """The normalized cross product of two canonical coordinate-integer
+    triples, or None if it has no unit coordinate.
 
-    For two points it is the dual of the line joining them; for two line
-    duals it is the point where the lines meet.  Equal residues raise
-    `error(message)`, with the shared residue filled into `message`.
+    The residues of canonical triples are canonical over F_p, so the cross
+    product has a unit coordinate exactly when the two residues differ.  For
+    two points it is the dual of the line joining them; for two line duals
+    it is the point where the lines meet.
     """
-    ring = _same_plane_points((x, y))
-    if _residues(x) == _residues(y):
-        raise error(message.format(x.reduce()))
-    u, v = x._ns, y._ns
-    dual = _normalize(ring, _cross(ring, u, v))
-    assert _orthogonal(ring, dual, u) and _orthogonal(ring, dual, v)
-    return _point_A(ring, dual)
+    w = _cross(ring, u, v)
+    if not any(map(ring._residue, w)):
+        return None
+    w = _normalize(ring, w)
+    assert _orthogonal(ring, w, u) and _orthogonal(ring, w, v)
+    return w
+
+
+def _join(ring, u, v):
+    """The dual triple of the line through two point triples."""
+    dual = _span(ring, u, v)
+    if dual is None:
+        raise IndeterminateSpanError(
+            f"points reduce to the same residue point {_point_A(ring, u).reduce()!r};"
+            " join not unique"
+        )
+    return dual
+
+
+def _meet(ring, u, v):
+    """The point triple where two lines, given by their dual triples, meet."""
+    pt = _span(ring, u, v)
+    if pt is None:
+        raise IndeterminateIntersectionError(
+            "lines reduce to the same residue line; intersection not unique"
+        )
+    return pt
+
+
+def _is_at(ring, ns, ints):
+    """Whether the canonical triple ns is the plane point (a*1 : b*1 : c*1) for
+    integers (a, b, c) in [0, p] with a unit among them: the two triples'
+    cross product vanishes, which for two triples with a unit coordinate is
+    projective equality."""
+    v = list(map(ring._reduce, ints))
+    return any(map(ring._residue, v)) and not any(_cross(ring, ns, v))
 
 
 class LineA:
@@ -521,20 +552,16 @@ class LineA:
 
 def line_through_A(x, y):
     """The unique line of P^2(A) joining two points with distinct residues."""
-    return LineA(_cross_point(
-        x, y, IndeterminateSpanError,
-        "points reduce to the same residue point {!r}; join not unique",
-    ))
+    ring = _same_plane_points((x, y))
+    return LineA(_point_A(ring, _join(ring, x._ns, y._ns)))
 
 
 def line_intersect_A(l1, l2):
     """The unique intersection point of two lines with distinct residue duals."""
     if not isinstance(l1, LineA) or not isinstance(l2, LineA):
         raise InvalidParameterError("line_intersect_A expects LineA arguments")
-    return _cross_point(
-        l1.dual, l2.dual, IndeterminateIntersectionError,
-        "lines reduce to the same residue line; intersection not unique",
-    )
+    ring = _same_plane_points((l1.dual, l2.dual))
+    return _point_A(ring, _meet(ring, l1.dual._ns, l2.dual._ns))
 
 
 def collinear_A(x, y, z):

@@ -16,8 +16,10 @@ from nonlift import (
     VERDICT_BLOCKED,
     VERDICT_OPEN,
     BudgetExceededError,
+    DerivationStep,
     Frame,
     InvalidParameterError,
+    LineA,
     MissingAssignmentError,
     NonliftError,
     ProjPointA,
@@ -35,6 +37,7 @@ from nonlift import (
     enumerate_points,
     extract_used_configuration,
     frame_anchors,
+    line_intersect_A,
     line_through_A,
     mp_configuration,
     propagate_forced_lift,
@@ -154,18 +157,75 @@ def _next_axis_point(ring, meets):
 @pytest.mark.parametrize("spec", [("zpk", 3, 2), ("fpt", 3, 2)], ids=str)
 @pytest.mark.parametrize("wrong", [_off_the_line, _next_axis_point])
 def test_derived_coordinate_law_check_fires(monkeypatch, spec, wrong):
-    # a meet that breaks the law stops the chain at its own step
+    # a meet that breaks the law stops the chain at its own step; the chain
+    # meets on coordinate-integer triples, so the patch wraps their kernel
     ring = ring_make(*spec)
-    meet, meets = lift_checker.line_intersect_A, []
+    meet, meets = lift_checker._meet, []
 
-    def wrong_meet(l1, l2):
-        meets.append(meet(l1, l2))
-        return wrong(ring, meets)
+    def wrong_meet(ring_, dual1, dual2):
+        meets.append(ProjPointA(ring, meet(ring_, dual1, dual2)))
+        return wrong(ring, meets)._ns
 
-    monkeypatch.setattr(lift_checker, "line_intersect_A", wrong_meet)
+    monkeypatch.setattr(lift_checker, "_meet", wrong_meet)
     with pytest.raises(AssertionError, match="violates the derived-coordinate law"):
         propagate_forced_lift(ring)
     assert len(meets) == (1 if wrong is _off_the_line else 2)
+
+
+def _replayed_chain(ring):
+    """The forced chain replayed with the public join and meet on points
+    over A: (target, line 1, line 2, derived) per step, each line the join
+    of the frame points and earlier derived points the chain names."""
+    e0, e1, e2, unit = Frame(ring).images
+    steps = []
+
+    def derive(l1, l2):
+        pt = line_intersect_A(l1, l2)
+        steps.append((pt.reduce(), l1, l2, pt))
+        return pt
+
+    corner = derive(line_through_A(e2, unit), line_through_A(e0, e1))
+    axis_line, diag_line, prev_diag = line_through_A(e2, e0), line_through_A(unit, e0), unit
+    for _ in range(1, ring.p):
+        axis_pt = derive(line_through_A(prev_diag, e1), axis_line)
+        prev_diag = derive(line_through_A(axis_pt, corner), diag_line)
+    derive(line_through_A(prev_diag, e1), axis_line)
+    return steps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["zpk", "fpt"])
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 211])
+def test_integer_chain_matches_public_join_and_meet(p, kind, k):
+    ring = ring_make(kind, p, k)
+    trace, obstruction = propagate_forced_lift(ring)
+    # the renderers read the integer chain and build no step objects
+    text = certificate_render(trace, obstruction)
+    doc = json.loads(certificate_render(trace, obstruction, format="json"))
+    assert "steps" not in vars(trace)
+    replayed = _replayed_chain(ring)
+    assert len(trace.steps) == len(replayed) == len(doc["steps"]) == 2 * p
+    lines = [line for line in text.splitlines() if line.startswith("step ")]
+    assert len(lines) == 2 * p
+
+    def fmt(pt):
+        return repr(pt).removesuffix(f" over {ring}")
+
+    for i, (step, (target, l1, l2, derived), entry, line) in enumerate(
+        zip(trace.steps, replayed, doc["steps"], lines), start=1
+    ):
+        assert type(step) is DerivationStep
+        assert type(step.line1) is LineA and type(step.line2) is LineA
+        assert step.target == target and step.target.coords == target.coords
+        assert step.line1 == l1 and step.line2 == l2
+        assert step.derived == derived
+        assert entry == {"target": list(target.coords), "line1": l1.to_json(),
+                         "line2": l2.to_json(), "derived": derived.to_json()["coords"]}
+        assert line == (f"step {i}: target ({':'.join(map(str, target.coords))}) = meet of"
+                        f" duals {fmt(l1.dual)} and {fmt(l2.dual)} -> {fmt(derived)}")
+    assert trace.steps is trace.steps
+    assert obstruction.derived == replayed[-1][3]
+    assert obstruction.required == Frame(ring).images[2]
 
 
 def test_pinned_points_match_mp_configuration():

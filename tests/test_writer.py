@@ -5,6 +5,7 @@ certificate; on the types those documents hold it must give the stdlib's
 bytes exactly, and on any other type raise TypeError as `json` does.
 """
 
+import enum
 import json
 
 import pytest
@@ -13,6 +14,11 @@ from hypothesis import strategies as st
 
 from nonlift.errors import write_json
 from nonlift.motive import _JSON_INT_LIMIT, _encode_int
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
 
 LIMIT_INTS = [_encode_int(n) for n in (
     _JSON_INT_LIMIT, -_JSON_INT_LIMIT, _JSON_INT_LIMIT + 1, -_JSON_INT_LIMIT - 1,
@@ -30,6 +36,11 @@ DOCS = {
     "big ints": [2**200, -(2**200), 0, -1],
     "tuples": {"t": (1, 2, 3), "nested": ((1, "a"), [True, (None,)]), "empty": ()},
     "mixed flat row": [1, "2", True, None, "é"],
+    # ints are rendered in place; an int subclass or a bool beside them is not
+    "int subclasses beside ints": {
+        "row": [0, _Level.HIGH, 1, True, False, 2, _Level.LOW],
+        "level": _Level.HIGH, "flag": True, "count": 3, "rows": [[1, _Level.LOW], [True, 0]],
+    },
 }
 
 
@@ -48,7 +59,8 @@ class _Opaque:
 
 @pytest.mark.parametrize(
     "doc",
-    [1.5, [1.0], [1, 2.5], {"a": _Opaque()}, {"a": [{"b": float("nan")}]}, {1: 2}, {1, 2}],
+    [1.5, [1.0], [1, 2.5], {"a": _Opaque()}, {"a": [{"b": float("nan")}]}, {1: 2}, {1, 2},
+     {"row": [0, 1, 2.0, 3]}],
     ids=repr,
 )
 def test_writer_refuses_other_types(doc):
