@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BudgetExceededError,
@@ -39,13 +38,13 @@ from .errors import (
 from .finite_geometry import (
     IncidenceConfig,
     ProjPointFp,
+    _check_config_size,
     _point,
     enumerate_lines,
     enumerate_points,
     line_from_dual,
 )
 from .local_ring import (
-    LineA,
     LocalRing,
     ProjPointA,
     _is_at,
@@ -94,22 +93,12 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class DerivationStep:
-    """One forced step: the meet of two joins pins the target's image."""
-
-    target: ProjPointFp
-    line1: LineA
-    line2: LineA
-    derived: ProjPointA
-
-
-@dataclass(frozen=True)
 class PropagationTrace:
     """The full forced chain, ending in the step that closes the loop.
 
     The chain is kept as the coordinate-integer triples of each step
-    (derived point, line-1 dual, line-2 dual); `steps` wraps them as
-    `DerivationStep`s when first read.
+    (derived point, line-1 dual, line-2 dual); `certificate_json` is the
+    way to read a step.
     """
 
     ring: LocalRing
@@ -118,20 +107,6 @@ class PropagationTrace:
     @property
     def p(self):
         return self.ring.p
-
-    @property
-    def frame(self):
-        return Frame(self.ring)
-
-    @cached_property
-    def steps(self):
-        ring = self.ring
-        out = []
-        for derived, dual1, dual2 in self._chain:
-            pt = _point_A(ring, derived)
-            out.append(DerivationStep(target=pt.reduce(), line1=LineA(_point_A(ring, dual1)),
-                                      line2=LineA(_point_A(ring, dual2)), derived=pt))
-        return tuple(out)
 
     def _residue_points(self, triples):
         """The residue points of canonical triples, each canonical over F_p too."""
@@ -143,15 +118,6 @@ class PropagationTrace:
         pts = self._residue_points(derived for derived, _, _ in self._chain)
         pts.update(frame_anchors(self.p))
         return tuple(sorted(pts))
-
-    def assignment(self):
-        """Residue point -> forced image.  The closing step never overrides
-        the frame value of its target; the clash, if any, lives in the
-        Obstruction record instead."""
-        out = self.frame.assignment()
-        for step in self.steps:
-            out.setdefault(step.target, step.derived)
-        return out
 
 
 @dataclass(frozen=True)
@@ -388,10 +354,12 @@ def extract_used_configuration(trace):
     Points: every residue point pinned by the trace (frame anchors plus all
     step targets).  Lines: the residue lines of every join used in a step.
     The result's point set must coincide with mp_configuration(trace.p)'s;
-    tests hold the two together.
+    tests hold the two together.  Each line is listed in full, so the
+    trace's p meets mp_configuration's cap before any line is built.
     """
     if not isinstance(trace, PropagationTrace):
         raise InvalidParameterError("extract_used_configuration expects a PropagationTrace")
+    _check_config_size(2, trace.p)
     points = trace.pinned_points()
     duals = trace._residue_points(dual for _, *duals in trace._chain for dual in duals)
     lines = sorted(line_from_dual(d) for d in duals)

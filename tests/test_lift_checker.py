@@ -16,10 +16,8 @@ from nonlift import (
     VERDICT_BLOCKED,
     VERDICT_OPEN,
     BudgetExceededError,
-    DerivationStep,
     Frame,
     InvalidParameterError,
-    LineA,
     MissingAssignmentError,
     NonliftError,
     ProjPointA,
@@ -85,7 +83,7 @@ def test_standard_frame():
 
 def test_propagation_worked_chain_z4():
     trace, obstruction = propagate_forced_lift(Z4)
-    assert len(trace.steps) == 4
+    steps = certificate_json(trace, obstruction)["steps"]
     expected = [
         # (target, dual of line1, dual of line2, derived image)
         ((1, 1, 0), (1, 3, 0), (0, 0, 1), (1, 1, 0)),
@@ -93,11 +91,10 @@ def test_propagation_worked_chain_z4():
         ((0, 1, 1), (1, 3, 3), (0, 1, 3), (2, 1, 1)),
         ((0, 0, 1), (1, 0, 2), (0, 1, 0), (2, 0, 1)),
     ]
-    for step, (target, d1, d2, derived) in zip(trace.steps, expected):
-        assert step.target.coords == target
-        assert reps(step.line1.dual) == d1
-        assert reps(step.line2.dual) == d2
-        assert reps(step.derived) == derived
+    assert [
+        (step["target"], step["line1"]["dual"], step["line2"]["dual"], step["derived"])
+        for step in steps
+    ] == [tuple(map(list, row)) for row in expected]
     assert obstruction.verdict == VERDICT_BLOCKED
     assert obstruction.element.rep == 2
     assert not obstruction.is_zero
@@ -112,7 +109,7 @@ def test_propagation_blocked_when_p_survives():
         assert obstruction.verdict == VERDICT_BLOCKED
         assert obstruction.element == ring.p_one
         assert obstruction.element.rep == p
-        assert len(trace.steps) == 2 * p
+        assert len(certificate_json(trace, obstruction)["steps"]) == 2 * p
 
 
 def test_propagation_open_when_p_vanishes():
@@ -124,21 +121,84 @@ def test_propagation_open_when_p_vanishes():
             assert obstruction.derived == obstruction.required
 
 
-def test_derived_coordinate_law():
-    # axis points land on (n:0:1) and diagonal points on (n+1:1:1)
-    for p, kind in [(3, "zpk"), (5, "zpk"), (3, "fpt")]:
-        ring = ring_make(kind, p, 2)
-        trace, _ = propagate_forced_lift(ring)
-        for n in range(1, p):
-            axis = trace.steps[2 * n - 1]
-            diag = trace.steps[2 * n]
-            assert axis.target == ProjPointFp((n, 0, 1), p)
-            assert axis.derived == ProjPointA(ring, (n, 0, 1))
-            assert diag.target == ProjPointFp((n + 1, 1, 1), p)
-            assert diag.derived == ProjPointA(ring, (n + 1, 1, 1))
-        closing = trace.steps[-1]
-        assert closing.target.coords == (0, 0, 1)
-        assert closing.derived == ProjPointA(ring, (p, 0, 1))
+# The chain in closed form, the same integers in every ring: (line-1 dual,
+# line-2 dual, derived point) of the corner step and of axis and diagonal
+# step n.  Axis step p is the closing step.
+_ANCHORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+_CORNER = ((1, -1, 0), (0, 0, 1), (1, 1, 0))
+
+
+def _axis(n):
+    return (1, 0, -n), (0, 1, 0), (n, 0, 1)
+
+
+def _diagonal(n):
+    return (1, -1, -n), (0, 1, -1), (n + 1, 1, 1)
+
+
+def _closed_form(p):
+    rows = [_CORNER]
+    for n in range(1, p):
+        rows += [_axis(n), _diagonal(n)]
+    return rows + [_axis(p)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["zpk", "fpt"])
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 211])
+def test_certificate_is_the_closed_form(p, kind, k):
+    # every dual of the table has pivot 1, so each is its integers encoded in
+    # the ring; the derived points are the table's, normalized
+    ring = ring_make(kind, p, k)
+    doc = certificate_json(*propagate_forced_lift(ring))
+    rows = _closed_form(p)
+    assert len(doc["steps"]) == len(rows) == 2 * p
+
+    def encoded(ints):
+        return [ring.elem(x).to_json() for x in ints]
+
+    for step, (dual1, dual2, derived) in zip(doc["steps"], rows):
+        pt = ProjPointA(ring, derived)
+        assert step == {"target": list(pt.reduce().coords), "line1": {"dual": encoded(dual1)},
+                        "line2": {"dual": encoded(dual2)}, "derived": pt.to_json()["coords"]}
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _chain_spans(n):
+    """Every join and meet that axis step n and diagonal step n run, with
+    the table entry it gives: (u, v, sign, w) with u x v = sign * w."""
+    e0, e1, e2, unit = _ANCHORS
+    corner, axis, diagonal = _CORNER, _axis(n), _diagonal(n)
+    return [
+        (e2, unit, -1, corner[0]),
+        (e0, e1, 1, corner[1]),
+        (corner[0], corner[1], -1, corner[2]),
+        (e2, e0, 1, axis[1]),
+        (unit, e0, 1, diagonal[1]),
+        (_diagonal(n - 1)[2], e1, -1, axis[0]),  # the diagonal point before, (1:1:1) at n = 1
+        (axis[0], axis[1], 1, axis[2]),
+        (axis[2], corner[2], -1, diagonal[0]),
+        (diagonal[0], diagonal[1], 1, diagonal[2]),
+    ]
+
+
+def test_closed_form_identities():
+    # each coordinate has degree <= 2 in n, so agreeing at four integers
+    # makes every row an identity over Z[n]; a coordinate that is the same
+    # 1 or -1 at all four is that constant, a unit in every local ring, so
+    # every join and meet of the chain is defined over every ring
+    values = [_chain_spans(n) for n in range(4)]
+    for row in zip(*values):
+        crosses = [_cross(u, v) for u, v, _, _ in row]
+        assert crosses == [tuple(sign * c for c in w) for _, _, sign, w in row]
+        assert any({c[i] for c in crosses} in ({1}, {-1}) for i in range(3)), row[0]
+    # the closing step derives (p:0:1) for the pinned (0:0:1): equal exactly when p*1 = 0
+    for ring in (ring_make("zpk", 3, 1), ring_make("zpk", 3, 2), ring_make("fpt", 3, 2)):
+        closing = ProjPointA(ring, _closed_form(3)[-1][2])
+        assert (closing == ProjPointA(ring, (0, 0, 1))) == ring.p_one.is_zero
 
 
 def _off_the_line(ring, meets):
@@ -199,31 +259,23 @@ def _replayed_chain(ring):
 def test_integer_chain_matches_public_join_and_meet(p, kind, k):
     ring = ring_make(kind, p, k)
     trace, obstruction = propagate_forced_lift(ring)
-    # the renderers read the integer chain and build no step objects
     text = certificate_render(trace, obstruction)
     doc = json.loads(certificate_render(trace, obstruction, format="json"))
-    assert "steps" not in vars(trace)
     replayed = _replayed_chain(ring)
-    assert len(trace.steps) == len(replayed) == len(doc["steps"]) == 2 * p
+    assert len(replayed) == len(doc["steps"]) == 2 * p
     lines = [line for line in text.splitlines() if line.startswith("step ")]
     assert len(lines) == 2 * p
 
     def fmt(pt):
         return repr(pt).removesuffix(f" over {ring}")
 
-    for i, (step, (target, l1, l2, derived), entry, line) in enumerate(
-        zip(trace.steps, replayed, doc["steps"], lines), start=1
+    for i, ((target, l1, l2, derived), entry, line) in enumerate(
+        zip(replayed, doc["steps"], lines), start=1
     ):
-        assert type(step) is DerivationStep
-        assert type(step.line1) is LineA and type(step.line2) is LineA
-        assert step.target == target and step.target.coords == target.coords
-        assert step.line1 == l1 and step.line2 == l2
-        assert step.derived == derived
         assert entry == {"target": list(target.coords), "line1": l1.to_json(),
                          "line2": l2.to_json(), "derived": derived.to_json()["coords"]}
         assert line == (f"step {i}: target ({':'.join(map(str, target.coords))}) = meet of"
                         f" duals {fmt(l1.dual)} and {fmt(l2.dual)} -> {fmt(derived)}")
-    assert trace.steps is trace.steps
     assert obstruction.derived == replayed[-1][3]
     assert obstruction.required == Frame(ring).images[2]
 
@@ -234,13 +286,6 @@ def test_pinned_points_match_mp_configuration():
         pinned = trace.pinned_points()
         assert len(pinned) == 2 * p + 3
         assert pinned == mp_configuration(p).points
-
-
-def test_assignment_keeps_frame_value_for_closing_target():
-    trace, _ = propagate_forced_lift(Z4)
-    assignment = trace.assignment()
-    assert set(assignment) == set(trace.pinned_points())
-    assert reps(assignment[ProjPointFp((0, 0, 1), 2)]) == (0, 0, 1)
 
 
 def test_collinear_triples_fano():
@@ -461,6 +506,24 @@ def test_extract_used_configuration():
             assert frozenset(ln.points) in mp_keys
 
 
+def test_extract_used_configuration_cap(monkeypatch):
+    # every used line is listed in full, so the trace meets mp_configuration's
+    # cap on the plane's inclusions before any line is built
+    trace, _ = propagate_forced_lift(ring_make("zpk", 61, 2))
+    used = extract_used_configuration(trace)
+    assert (len(used.points), len(used.lines)) == (125, 125)
+    assert used.points == mp_configuration(61).points
+
+    def no_line(dual):
+        raise AssertionError("a line was built")
+
+    monkeypatch.setattr(lift_checker, "line_from_dual", no_line)
+    for p in (67, 1999):
+        trace, _ = propagate_forced_lift(ring_make("zpk", p, 2))
+        with pytest.raises(BudgetExceededError, match="inclusion count .* exceeds the supported"):
+            extract_used_configuration(trace)
+
+
 def test_certificate_schema():
     trace, obstruction = propagate_forced_lift(Z4)
     doc = certificate_json(trace, obstruction)
@@ -487,13 +550,7 @@ def test_certificate_round_trip():
         trace2, obstruction2 = certificate_parse(doc)
         assert trace2.p == trace.p
         assert trace2.ring == trace.ring
-        assert trace2.frame == trace.frame
-        assert len(trace2.steps) == len(trace.steps)
-        for a, b in zip(trace.steps, trace2.steps):
-            assert a.target == b.target
-            assert a.line1 == b.line1
-            assert a.line2 == b.line2
-            assert a.derived == b.derived
+        assert trace2._chain == trace._chain
         assert obstruction2.verdict == obstruction.verdict
         assert obstruction2.element == obstruction.element
         assert certificate_json(trace2, obstruction2) == doc
