@@ -11,8 +11,6 @@ closes stdout early, 2 when `lift propagate` certifies the non-liftable
 verdict.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

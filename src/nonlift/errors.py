@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the checks that raise them, and
-the one JSON reading rule and indent-2 writer."""
+"""Exception types shared across the package, the checks that raise them, the
+immutable classes' base, and the one JSON reading rule and indent-2 writer."""
 
 import json
 from json.encoder import encode_basestring_ascii
@@ -51,6 +51,51 @@ class BudgetExceededError(NonliftError):
         )
         self.nodes_explored = nodes_explored
         self.budget = budget
+
+
+class _Frozen:
+    """Base of the immutable classes: assigning or deleting an attribute
+    raises.  `__init__` sets the `__slots__` in order (hot constructors set
+    theirs directly), and `==`, `hash` and `repr` go field by field over
+    them; the points, lines, rings, ring elements and polynomials define
+    their own.  Copy, deepcopy and pickle rebuild from the slot values.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _rebuild, (type(self), *self._values())
+
+
+def _rebuild(cls, *values):
+    """An object of an immutable class from its slot values, unchecked."""
+    obj = object.__new__(cls)
+    _Frozen.__init__(obj, *values)
+    return obj
 
 
 def check_cap(value, cap, label):

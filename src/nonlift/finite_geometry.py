@@ -13,18 +13,17 @@ planes as points in P^3 by duality, and 1 + p + 2p^2 + p^3 + p^4 lines in
 P^3 (the lines form the Grassmannian of 2-subspaces of a 4-space).
 """
 
-from __future__ import annotations
-
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
 
 from .errors import (
     DegenerateSpanError,
     InvalidParameterError,
     UnsupportedDimensionError,
+    _Frozen,
+    _rebuild,
     check_cap,
     read_back,
 )
@@ -70,7 +69,7 @@ def _check_dim(n, *, low=0):
     return n
 
 
-class ProjPointFp:
+class ProjPointFp(_Frozen):
     """A point of P^n(F_p) in canonical form (first nonzero coordinate 1)."""
 
     __slots__ = ("p", "coords")
@@ -89,9 +88,6 @@ class ProjPointFp:
         inv = pow(reduced[pivot], -1, p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coords", tuple((c * inv) % p for c in reduced))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPointFp is immutable")
 
     @property
     def dim(self):
@@ -206,7 +202,7 @@ class _Space:
         return tuple(self.span(_row_reduce(_kernel([d], self.p), self.p)[0]))
 
 
-class LineFp:
+class LineFp(_Frozen):
     """A line of P^n(F_p): the sorted indices of its p+1 points.
 
     `indices` are positions in `enumerate_points(n, p)` order, so they sort
@@ -236,18 +232,11 @@ class LineFp:
         join = space.line(space.coords(indices[0]), space.coords(indices[1]))
         if list(join.indices) != indices:
             raise InvalidParameterError("line points are not collinear")
-        for name in LineFp.__slots__:
-            object.__setattr__(self, name, getattr(join, name))
+        super().__init__(*join._values())
 
     @classmethod
     def _of(cls, space, indices):
-        line = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (space.p, indices, space, None)):
-            object.__setattr__(line, name, value)
-        return line
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineFp is immutable")
+        return _rebuild(cls, space.p, indices, space, None)
 
     @property
     def dim(self):
@@ -442,23 +431,17 @@ def line_from_dual(d):
     return LineFp._of(space, space.hyperplane(d.coords))
 
 
-@dataclass(frozen=True)
-class PlaneFp:
-    """A plane of P^3(F_p), given by its dual point."""
+class PlaneFp(_Frozen):
+    """A plane of P^3(F_p): its dual point and the sorted `indices` of its points."""
 
-    dual: ProjPointFp
+    __slots__ = ("dual", "indices")
 
-    def __post_init__(self):
-        _check_dual(self.dual, 3, "plane")
-
-    @cached_property
-    def indices(self):
-        """Sorted indices of its points, the points its dual annihilates."""
-        return _Space(3, self.dual.p).hyperplane(self.dual.coords)
+    def __init__(self, dual):
+        _check_dual(dual, 3, "plane")
+        super().__init__(dual, _Space(3, dual.p).hyperplane(dual.coords))
 
 
-@dataclass(frozen=True)
-class IncidenceConfig:
+class IncidenceConfig(_Frozen):
     """A finite point-line(-plane) configuration with its strict inclusions.
 
     Inclusions are child/parent pairs over a concatenated global index
@@ -467,12 +450,10 @@ class IncidenceConfig:
     point-in-plane pairs this makes the listed relation transitive.
     """
 
-    dim: int
-    p: int
-    points: tuple
-    lines: tuple
-    planes: tuple = ()
-    inclusions: tuple = ()
+    __slots__ = ("dim", "p", "points", "lines", "planes", "inclusions")
+
+    def __init__(self, dim, p, points, lines, planes=(), inclusions=()):
+        super().__init__(dim, p, points, lines, planes, inclusions)
 
     @property
     def line_offset(self):

@@ -21,16 +21,14 @@ Every entry point takes the coefficient ring and reads p off it; the
 older form with p before the ring is accepted only when p is the ring's own.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
     InvalidParameterError,
     MissingAssignmentError,
+    _Frozen,
     check_cap,
     read_back,
     write_json,
@@ -77,11 +75,13 @@ def frame_anchors(p):
     return tuple(ProjPointFp(c, p) for c in _ANCHOR_COORDS)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Frozen):
     """The standard frame over A: each anchor's coordinates re-read in A."""
 
-    ring: LocalRing
+    __slots__ = ("ring",)
+
+    def __init__(self, ring):
+        super().__init__(ring)
 
     @property
     def images(self):
@@ -92,8 +92,7 @@ class Frame:
         return dict(zip(frame_anchors(self.ring.p), self.images))
 
 
-@dataclass(frozen=True)
-class PropagationTrace:
+class PropagationTrace(_Frozen):
     """The full forced chain, ending in the step that closes the loop.
 
     The chain is kept as the coordinate-integer triples of each step
@@ -101,8 +100,10 @@ class PropagationTrace:
     way to read a step.
     """
 
-    ring: LocalRing
-    _chain: tuple
+    __slots__ = ("ring", "_chain")
+
+    def __init__(self, ring, _chain):
+        super().__init__(ring, _chain)
 
     @property
     def p(self):
@@ -120,14 +121,13 @@ class PropagationTrace:
         return tuple(sorted(pts))
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(_Frozen):
     """Outcome of the closing comparison: the element p * 1 must vanish."""
 
-    element: object
-    derived: ProjPointA
-    required: ProjPointA
-    verdict: str
+    __slots__ = ("element", "derived", "required", "verdict")
+
+    def __init__(self, element, derived, required, verdict):
+        super().__init__(element, derived, required, verdict)
 
     @property
     def is_zero(self):
@@ -257,13 +257,13 @@ def trivial_lift_map(*args):
     return {pt: ProjPointA(ring, pt.coords) for pt in enumerate_points(2, p)}
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Frozen):
     """Outcome of a brute-force search: the maps found plus node accounting."""
 
-    maps: tuple
-    nodes_explored: int
-    budget: int
+    __slots__ = ("maps", "nodes_explored", "budget")
+
+    def __init__(self, maps, nodes_explored, budget):
+        super().__init__(maps, nodes_explored, budget)
 
     def __len__(self):
         return len(self.maps)

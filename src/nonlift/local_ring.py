@@ -29,8 +29,6 @@ differ.  The forced chain of `lift_checker` runs on the triples through
 `_join` and `_meet`; the public functions wrap them in points and lines.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .errors import (
@@ -40,6 +38,7 @@ from .errors import (
     NotAProjectivePointError,
     UndecidableCollinearityError,
     UnsupportedDimensionError,
+    _Frozen,
     check_cap,
     read_back,
 )
@@ -52,7 +51,7 @@ KINDS = ("zpk", "fpt")
 K_MAX = 8
 
 
-class LocalRing:
+class LocalRing(_Frozen):
     """One of the two coefficient ring families, fixed by (kind, p, k)."""
 
     __slots__ = ("kind", "p", "k", "size", "_shifts", "_mask", "_bias", "_reduce", "_residue")
@@ -84,12 +83,11 @@ class LocalRing:
                     out |= (n >> s & mask) % p << s
                 return out
             residue = mask.__and__
-        values = (kind, p, k, size, shifts, mask, bias, reduce, residue)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        super().__init__(kind, p, k, size, shifts, mask, bias, reduce, residue)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalRing is immutable")
+    def __reduce__(self):
+        # the fpt reduction is a closure, so a ring is rebuilt from (kind, p, k)
+        return LocalRing, (self.kind, self.p, self.k)
 
     def norm_rep(self, rep):
         """Canonicalize a raw representation (int, or coefficient sequence)."""
@@ -207,7 +205,7 @@ def ring_make(kind, p, k):
     return LocalRing(kind, p, k)
 
 
-class RingElem:
+class RingElem(_Frozen):
     """An element of a LocalRing; its operators are the one arithmetic path.
 
     The element is the ring's integer `_n`; `rep` decodes it.
@@ -218,9 +216,6 @@ class RingElem:
     def __init__(self, ring, rep):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_n", ring._encode(rep))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElem is immutable")
 
     @property
     def rep(self):
@@ -323,7 +318,7 @@ def _reduced(ring, n):
     return _canonical(ring, ring._reduce(n))
 
 
-class ProjPointA:
+class ProjPointA(_Frozen):
     """A point of P^n(A) in canonical form (first unit coordinate 1)."""
 
     __slots__ = ("ring", "_ns")
@@ -347,9 +342,6 @@ class ProjPointA:
             )
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_ns", _normalize(ring, ns))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPointA is immutable")
 
     @property
     def coords(self):
@@ -514,7 +506,7 @@ def _is_at(ring, ns, ints):
     return any(map(ring._residue, v)) and not any(_cross(ring, ns, v))
 
 
-class LineA:
+class LineA(_Frozen):
     """A line of P^2(A), represented by its dual coordinate vector."""
 
     __slots__ = ("dual",)
@@ -523,9 +515,6 @@ class LineA:
         if not isinstance(dual, ProjPointA) or dual.dim != 2:
             raise InvalidParameterError("a plane-line dual is a 3-coordinate point")
         object.__setattr__(self, "dual", dual)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineA is immutable")
 
     @property
     def ring(self):

@@ -18,14 +18,12 @@ drives the two composite constructions: collapsing a self-map graph inside
 a product, and the point-line configuration blow-up of 3-space.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     InvalidBlowupError,
     InvalidParameterError,
+    _Frozen,
     check_cap,
     read_back,
 )
@@ -42,7 +40,7 @@ def _encode_int(n):
     return n if -_JSON_INT_LIMIT <= n <= _JSON_INT_LIMIT else str(n)
 
 
-class LPolynomial:
+class LPolynomial(_Frozen):
     """A polynomial in the Lefschetz class L with integer coefficients.
 
     Coefficients are stored low degree first; arithmetic is exact over Z
@@ -56,9 +54,6 @@ class LPolynomial:
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
         object.__setattr__(self, "coeffs", tuple(trimmed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LPolynomial is immutable")
 
     @classmethod
     def zero(cls):
@@ -189,27 +184,22 @@ class LPolynomial:
 LEFSCHETZ = LPolynomial.lefschetz()
 
 
-@dataclass(frozen=True)
-class VarietyClass:
+class VarietyClass(_Frozen):
     """A named class in the Grothendieck ring, polynomial in L.
 
     `cellular` records that the class came from a space with an affine cell
     slicing; the invariants table only speaks about those.
     """
 
-    name: str
-    dim: int
-    cls: LPolynomial
-    cellular: bool = True
+    __slots__ = ("name", "dim", "cls", "cellular")
 
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 0:
-            raise InvalidParameterError(f"dimension must be a non-negative integer, got {self.dim!r}")
-        check_cap(self.dim, DIM_MAX, "class dimension")
-        if self.cls.degree > self.dim:
-            raise InvalidParameterError(
-                f"class degree {self.cls.degree} exceeds dimension {self.dim}"
-            )
+    def __init__(self, name, dim, cls, cellular=True):
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise InvalidParameterError(f"dimension must be a non-negative integer, got {dim!r}")
+        check_cap(dim, DIM_MAX, "class dimension")
+        if cls.degree > dim:
+            raise InvalidParameterError(f"class degree {cls.degree} exceeds dimension {dim}")
+        super().__init__(name, dim, cls, cellular)
 
     def point_count(self, q):
         return self.cls(q)
@@ -482,8 +472,7 @@ def quadric_point_count(d, q):
     return sum(1 for x in _proj_tuples(d + 1, q) if value(x) == 0)
 
 
-@dataclass(frozen=True)
-class InvariantsTable:
+class InvariantsTable(_Frozen):
     """Betti and Hodge data read off a cellular class, plus sanity flags.
 
     The Hodge table is diagonal (h^{i,i} = b_{2i}) because every in-scope
@@ -491,12 +480,10 @@ class InvariantsTable:
     builds the dense (dim+1) x (dim+1) table on demand.
     """
 
-    dim: int
-    betti: tuple
-    picard: int
-    euler: int
-    palindromic: bool
-    nonnegative: bool
+    __slots__ = ("dim", "betti", "picard", "euler", "palindromic", "nonnegative")
+
+    def __init__(self, dim, betti, picard, euler, palindromic, nonnegative):
+        super().__init__(dim, betti, picard, euler, palindromic, nonnegative)
 
     @property
     def hodge_de_rham_sum_equal(self):

@@ -55,6 +55,22 @@ def test_reader_is_the_commands_package():
     assert in_tree != INSTALLED, nonlift.__file__
 
 
+def test_import_loads_no_dataclasses_or_inspect(tmp_path):
+    # every command pays for what importing the CLI loads; `site` may
+    # preload modules, so only the ones the import adds are checked
+    code = ("import sys; before = set(sys.modules); import nonlift.cli; "
+            "print(nonlift.cli.__file__); print(*sorted(set(sys.modules) - before))")
+    _, env = _command()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    where, added = proc.stdout.splitlines()
+    assert pathlib.Path(where).resolve().is_relative_to(ROOT / "src") != INSTALLED, where
+    added = set(added.split())
+    assert "nonlift.cli" in added
+    assert not {"dataclasses", "inspect"} & added, sorted(added)
+
+
 # the whole stdout of a command that exits 0
 OUTPUTS = {
     "geom count --dim 2 --p 2": "points: 7, lines: 7",
