@@ -1,7 +1,8 @@
 """Exception types shared across the package, the checks that raise them, the
 immutable classes' base, and the one JSON reading rule and indent-2 writer."""
 
-import json
+import re
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 
@@ -107,13 +108,13 @@ def check_cap(value, cap, label):
 def read_back(doc, build, write, label):
     """The one reading rule: `build(doc)`, accepted only if `write` gives `doc` back.
 
-    Both documents are compared as sorted-key JSON text, so `true` is not
-    `1` and `1.0` is not `1`.  A document that cannot be built, or that
-    differs from the one its object writes, raises InvalidParameterError.
+    The two documents are compared as `_same` does, so `true` is not `1`
+    and `1.0` is not `1`.  A document that cannot be built, or that differs
+    from the one its object writes, raises InvalidParameterError.
     """
     try:
         obj = build(doc)
-        same = json.dumps(write(obj), sort_keys=True) == json.dumps(doc, sort_keys=True)
+        same = _same(write(obj), doc)
     except InvalidParameterError:
         raise
     except (NonliftError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
@@ -121,6 +122,33 @@ def read_back(doc, build, write, label):
     if not same:
         raise InvalidParameterError(f"malformed {label}: not the document its writer gives back")
     return obj
+
+
+def _same(a, b):
+    """Whether two documents are one JSON value, key order aside.  A list
+    and a tuple are both arrays, as `json.dumps` writes them; every other
+    leaf must match in type and value, so `true` is not `1` and `1.0` is
+    not `1`.  An array of scalars, or of arrays, is compared in one pass:
+    its item types and values, or its item lengths and flattened items.
+    """
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all([_same(v, b[k]) for k, v in a.items()]))
+    if not isinstance(a, (list, tuple)):
+        return type(a) is type(b) and a == b
+    if not isinstance(b, (list, tuple)) or len(a) != len(b):
+        return False
+    types = [*map(type, a)]
+    if _SCALARS.issuperset(types) and types == [*map(type, b)]:
+        return [*a] == [*b]
+    if _ARRAYS.issuperset(types) and _ARRAYS.issuperset(map(type, b)):
+        return ([*map(len, a)] == [*map(len, b)]
+                and _same([*chain.from_iterable(a)], [*chain.from_iterable(b)]))
+    return all(map(_same, a, b))
+
+
+_SCALARS = frozenset((str, int, bool, type(None)))
+_ARRAYS = frozenset((list, tuple))
 
 
 def write_json(doc):
@@ -170,6 +198,30 @@ def _key(key):
     if not isinstance(key, str):
         raise TypeError(f"keys must be str, not {type(key).__name__}")
     return encode_basestring_ascii(key)
+
+
+_FIELD = r'"\\u0000(\d+)"'  # compiled on first use, not at import
+
+
+def _field(i):
+    """The leaf string that `_write_template` turns into its i-th field."""
+    return f"\0{i}"
+
+
+def _write_template(value, newline):
+    """`_write(value, newline)` as a `%` template: the leaves `_field(0)`,
+    `_field(1)`, ... become its `%s` fields, and must appear in that order.
+    Returns the template and, per field, the newline at which `_write`
+    renders a value in that place: a newline and the indent of the field's
+    line.
+    """
+    parts = re.split(_FIELD, _write(value, newline))
+    assert parts[1::2] == [str(i) for i in range(len(parts) // 2)], "fields out of order"
+    newlines = []
+    for text in parts[:-1:2]:
+        line = text.rpartition("\n")[2]
+        newlines.append("\n" + " " * (len(line) - len(line.lstrip(" "))))
+    return "%s".join([text.replace("%", "%%") for text in parts[::2]]), newlines
 
 
 class InvalidBlowupError(NonliftError):

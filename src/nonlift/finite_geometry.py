@@ -238,6 +238,10 @@ class LineFp(_Frozen):
     def _of(cls, space, indices):
         return _rebuild(cls, space.p, indices, space, None)
 
+    def __reduce__(self):
+        # rebuilt on a fresh space, so no point built through the shared one is copied
+        return _line_of, (self.dim, self.p, self.indices)
+
     @property
     def dim(self):
         return self._space.n
@@ -270,6 +274,11 @@ class LineFp(_Frozen):
 
     def __repr__(self):
         return f"LineFp[{', '.join(repr(pt) for pt in self.points)}]"
+
+
+def _line_of(dim, p, indices):
+    """The line of P^dim(F_p) with these point indices, unchecked."""
+    return LineFp._of(_Space(dim, p), indices)
 
 
 def line_through(x, y):

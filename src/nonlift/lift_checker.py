@@ -23,15 +23,18 @@ older form with p before the ring is accepted only when p is the ring's own.
 
 import itertools
 import json
+from functools import cache
 
 from .errors import (
     BudgetExceededError,
     InvalidParameterError,
     MissingAssignmentError,
     _Frozen,
+    _field,
+    _write,
+    _write_template,
     check_cap,
     read_back,
-    write_json,
 )
 from .finite_geometry import (
     IncidenceConfig,
@@ -369,29 +372,42 @@ def extract_used_configuration(trace):
 # -- certificates -----------------------------------------------------------
 
 
-def certificate_json(trace, obstruction):
-    """The replayable JSON document for a propagation run."""
+def _step_doc(target, dual1, dual2, derived):
+    """One step of a certificate document: the one place its keys and their
+    order are written down."""
+    return {
+        "target": target,
+        "line1": {"dual": dual1},
+        "line2": {"dual": dual2},
+        "derived": derived,
+    }
+
+
+def _certificate_doc(trace, obstruction, steps):
+    """A certificate document around the given list of steps."""
     ring = trace.ring
-    residue, js = ring._residue, ring._json
     return {
         "p": trace.p,
         "ring": ring.to_json(),
         "frame": "standard",
-        "steps": [
-            {
-                "target": list(map(residue, derived)),
-                "line1": {"dual": list(map(js, dual1))},
-                "line2": {"dual": list(map(js, dual2))},
-                "derived": list(map(js, derived)),
-            }
-            for derived, dual1, dual2 in trace._chain
-        ],
+        "steps": steps,
         "obstruction": {
             "element": obstruction.element.to_json(),
             "isZero": obstruction.is_zero,
         },
         "verdict": obstruction.verdict,
     }
+
+
+def certificate_json(trace, obstruction):
+    """The replayable JSON document for a propagation run."""
+    residue, js = trace.ring._residue, trace.ring._json
+    steps = [
+        _step_doc([*map(residue, derived)], [*map(js, dual1)], [*map(js, dual2)],
+                  [*map(js, derived)])
+        for derived, dual1, dual2 in trace._chain
+    ]
+    return _certificate_doc(trace, obstruction, steps)
 
 
 def certificate_parse(doc):
@@ -426,14 +442,49 @@ def _fmt_point(pt):
     return "(" + ":".join(str(c) for c in pt.coords) + ")"
 
 
+_STEP_TEXT = "step %d: target (%s:%s:%s) = meet of duals (%s:%s:%s) and (%s:%s:%s) -> (%s:%s:%s)"
+
+
+def _json_text(trace, obstruction):
+    """`write_json(certificate_json(trace, obstruction))`, byte for byte.
+
+    `_write` renders the document around one marked step, and a `_step_doc`
+    of marked leaves, once each; every step is then one fill of that
+    template with the texts of its 12 stored integers.
+    """
+    ring = trace.ring
+    doc, (at,) = _write_template(_certificate_doc(trace, obstruction, [_field(0)]), "\n")
+    fields = [[_field(i) for i in range(a, a + 3)] for a in range(0, 12, 3)]
+    step, newlines = _write_template(_step_doc(*fields), at)
+    # the target is the residue of each derived integer, the rest the ring's
+    # JSON; each text is cached for this call only, as one integer means
+    # different elements in different rings
+    texts, slots = {}, []
+    for i, newline in enumerate(newlines):
+        key = (ring._residue if i < 3 else ring._json, newline)
+        if key not in texts:
+            texts[key] = cache(lambda n, leaf=key[0], newline=newline: _write(leaf(n), newline))
+        slots.append(texts[key])
+    t0, t1, t2, a0, a1, a2, b0, b1, b2, d0, d1, d2 = slots
+    return doc % ("," + at).join([
+        step % (t0(x), t1(y), t2(z), a0(u0), a1(u1), a2(u2), b0(v0), b1(v1), b2(v2),
+                d0(x), d1(y), d2(z))
+        for (x, y, z), (u0, u1, u2), (v0, v1, v2) in trace._chain
+    ])
+
+
 def certificate_render(trace, obstruction, format="text"):
-    """Human-readable or JSON rendering of a propagation certificate."""
+    """Human-readable or JSON rendering of a propagation certificate.
+
+    Each step is one fill of one template, and each distinct stored integer
+    is rendered once per place, through a cache that lives for the call.
+    """
     if format == "json":
-        return write_json(certificate_json(trace, obstruction))
+        return _json_text(trace, obstruction)
     if format != "text":
         raise InvalidParameterError(f"unknown certificate format {format!r}")
     ring = trace.ring
-    residue, text = ring._residue, ring._text
+    residue, text = cache(lambda n: str(ring._residue(n))), cache(ring._text)
     lines = [
         "lift propagation certificate",
         f"p: {trace.p}",
@@ -441,12 +492,11 @@ def certificate_render(trace, obstruction, format="text"):
         "frame: standard (1:0:0), (0:1:0), (0:0:1), (1:1:1)",
         f"steps: {len(trace._chain)}",
     ]
-    for i, (derived, dual1, dual2) in enumerate(trace._chain, start=1):
-        lines.append(
-            f"step {i}: target ({':'.join([str(residue(n)) for n in derived])})"
-            f" = meet of duals ({':'.join(map(text, dual1))}) and ({':'.join(map(text, dual2))})"
-            f" -> ({':'.join(map(text, derived))})"
-        )
+    lines += [
+        _STEP_TEXT % (i, residue(x), residue(y), residue(z), text(u0), text(u1), text(u2),
+                      text(v0), text(v1), text(v2), text(x), text(y), text(z))
+        for i, ((x, y, z), (u0, u1, u2), (v0, v1, v2)) in enumerate(trace._chain, start=1)
+    ]
     lines.append(
         f"closing comparison: derived {_fmt_point(obstruction.derived)}"
         f" against pinned {_fmt_point(obstruction.required)}"

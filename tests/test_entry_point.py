@@ -140,7 +140,10 @@ def test_reader_at_certify_size(run):
     assert proc.returncode == 2
     _, obstruction = certificate_parse(proc.stdout)
     assert obstruction.verdict == "non-liftable"
-    assert len(json.loads(proc.stdout)["steps"]) == 1774
+    doc = json.loads(proc.stdout)
+    assert len(doc["steps"]) == 1774
+    # the stdlib's indent-2 layout over Z/p^k too, as over F_p[t]/(t^k) above
+    assert proc.stdout == json.dumps(doc, indent=2) + "\n"
 
 
 def test_closed_pipe_gives_no_traceback(tmp_path):

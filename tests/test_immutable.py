@@ -157,3 +157,16 @@ def test_copy_deepcopy_and_pickle_round_trip(rebuild):
         assert repr(out) == repr(obj)
         with pytest.raises(AttributeError, match="is immutable"):
             out.extra = None
+
+
+def test_a_pickled_line_carries_only_its_indices():
+    # a line once pickled its shared space, with every point other lines had built
+    lines = enumerate_lines(2, 61)
+    line = lines[0]
+    fresh = len(pickle.dumps(line))
+    for other in lines[:50]:
+        other.points
+    assert len(pickle.dumps(line)) == fresh
+    for out in (pickle.loads(pickle.dumps(line)), copy.deepcopy(line)):
+        assert type(out) is type(line) and out == line
+        assert out.points == line.points

@@ -253,6 +253,49 @@ def _replayed_chain(ring):
     return steps
 
 
+def _plain_text(trace, obstruction):
+    """The text certificate with every step line spelled out on its own."""
+    ring = trace.ring
+    lines = [
+        "lift propagation certificate",
+        f"p: {trace.p}",
+        f"ring: {ring}",
+        "frame: standard (1:0:0), (0:1:0), (0:0:1), (1:1:1)",
+        f"steps: {len(trace._chain)}",
+    ]
+    for i, (derived, dual1, dual2) in enumerate(trace._chain, start=1):
+        lines.append(
+            f"step {i}: target ({':'.join(str(ring._residue(n)) for n in derived)})"
+            f" = meet of duals ({':'.join(map(ring._text, dual1))})"
+            f" and ({':'.join(map(ring._text, dual2))}) -> ({':'.join(map(ring._text, derived))})"
+        )
+    lines.append(
+        f"closing comparison: derived {lift_checker._fmt_point(obstruction.derived)}"
+        f" against pinned {lift_checker._fmt_point(obstruction.required)}"
+    )
+    if obstruction.is_zero:
+        lines.append("no obstruction")
+    else:
+        lines.append(f"obstruction p·1 = {obstruction.element} ≠ 0 in {ring}:"
+                     " no collinearity-preserving lift exists with this frame")
+    return "\n".join(lines)
+
+
+def _assert_plain_renders(trace, obstruction):
+    """The templated renders against the stdlib writer and a plain per-step text."""
+    doc = certificate_json(trace, obstruction)
+    assert certificate_render(trace, obstruction, format="json") == json.dumps(doc, indent=2)
+    assert certificate_render(trace, obstruction) == _plain_text(trace, obstruction)
+
+
+@pytest.mark.parametrize("p", [3, 13, 211])
+def test_render_texts_do_not_carry_over_between_rings(p):
+    # one stored integer is a different element of each ring, so a text
+    # rendered for one ring must never be reused for the next
+    for kind, k in [("zpk", 2), ("zpk", 3), ("fpt", 2), ("zpk", 2), ("fpt", 3), ("zpk", 3)]:
+        _assert_plain_renders(*propagate_forced_lift(ring_make(kind, p, k)))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
 @pytest.mark.parametrize("kind", ["zpk", "fpt"])
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 211])
@@ -278,6 +321,7 @@ def test_integer_chain_matches_public_join_and_meet(p, kind, k):
                         f" duals {fmt(l1.dual)} and {fmt(l2.dual)} -> {fmt(derived)}")
     assert obstruction.derived == replayed[-1][3]
     assert obstruction.required == Frame(ring).images[2]
+    _assert_plain_renders(trace, obstruction)
 
 
 def test_pinned_points_match_mp_configuration():
@@ -662,6 +706,12 @@ def test_certificate_render_deterministic():
     first = certificate_render(*propagate_forced_lift(ring_make("zpk", 3, 2)), format="json")
     second = certificate_render(*propagate_forced_lift(ring_make("zpk", 3, 2)), format="json")
     assert first == second
+
+
+@pytest.mark.parametrize("format", ["yaml", "JSON", "", None])
+def test_certificate_render_refuses_unknown_formats(format):
+    with pytest.raises(InvalidParameterError, match="unknown certificate format"):
+        certificate_render(*propagate_forced_lift(Z4), format=format)
 
 
 def test_size_caps():
