@@ -1,8 +1,8 @@
 """Exception types shared across the package, the checks that raise them, the
 immutable classes' base, and the one JSON reading rule and indent-2 writer."""
 
+import json
 import re
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 
@@ -108,13 +108,13 @@ def check_cap(value, cap, label):
 def read_back(doc, build, write, label):
     """The one reading rule: `build(doc)`, accepted only if `write` gives `doc` back.
 
-    The two documents are compared as `_same` does, so `true` is not `1`
-    and `1.0` is not `1`.  A document that cannot be built, or that differs
-    from the one its object writes, raises InvalidParameterError.
+    Both documents are compared as sorted-key JSON text, so `true` is not
+    `1` and `1.0` is not `1`.  A document that cannot be built, or that
+    differs from the one its object writes, raises InvalidParameterError.
     """
     try:
         obj = build(doc)
-        same = _same(write(obj), doc)
+        same = json.dumps(write(obj), sort_keys=True) == json.dumps(doc, sort_keys=True)
     except InvalidParameterError:
         raise
     except (NonliftError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
@@ -122,33 +122,6 @@ def read_back(doc, build, write, label):
     if not same:
         raise InvalidParameterError(f"malformed {label}: not the document its writer gives back")
     return obj
-
-
-def _same(a, b):
-    """Whether two documents are one JSON value, key order aside.  A list
-    and a tuple are both arrays, as `json.dumps` writes them; every other
-    leaf must match in type and value, so `true` is not `1` and `1.0` is
-    not `1`.  An array of scalars, or of arrays, is compared in one pass:
-    its item types and values, or its item lengths and flattened items.
-    """
-    if isinstance(a, dict):
-        return (isinstance(b, dict) and a.keys() == b.keys()
-                and all([_same(v, b[k]) for k, v in a.items()]))
-    if not isinstance(a, (list, tuple)):
-        return type(a) is type(b) and a == b
-    if not isinstance(b, (list, tuple)) or len(a) != len(b):
-        return False
-    types = [*map(type, a)]
-    if _SCALARS.issuperset(types) and types == [*map(type, b)]:
-        return [*a] == [*b]
-    if _ARRAYS.issuperset(types) and _ARRAYS.issuperset(map(type, b)):
-        return ([*map(len, a)] == [*map(len, b)]
-                and _same([*chain.from_iterable(a)], [*chain.from_iterable(b)]))
-    return all(map(_same, a, b))
-
-
-_SCALARS = frozenset((str, int, bool, type(None)))
-_ARRAYS = frozenset((list, tuple))
 
 
 def write_json(doc):

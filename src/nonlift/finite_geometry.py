@@ -240,7 +240,7 @@ class LineFp(_Frozen):
 
     def __reduce__(self):
         # rebuilt on a fresh space, so no point built through the shared one is copied
-        return _line_of, (self.dim, self.p, self.indices)
+        return LineFp._of, (_Space(self.dim, self.p), self.indices)
 
     @property
     def dim(self):
@@ -274,11 +274,6 @@ class LineFp(_Frozen):
 
     def __repr__(self):
         return f"LineFp[{', '.join(repr(pt) for pt in self.points)}]"
-
-
-def _line_of(dim, p, indices):
-    """The line of P^dim(F_p) with these point indices, unchecked."""
-    return LineFp._of(_Space(dim, p), indices)
 
 
 def line_through(x, y):

@@ -35,6 +35,7 @@ from .errors import (
     _write_template,
     check_cap,
     read_back,
+    write_json,
 )
 from .finite_geometry import (
     IncidenceConfig,
@@ -452,23 +453,21 @@ def _json_text(trace, obstruction):
     of marked leaves, once each; every step is then one fill of that
     template with the texts of its 12 stored integers.
     """
+    if not trace._chain:
+        return write_json(certificate_json(trace, obstruction))
     ring = trace.ring
     doc, (at,) = _write_template(_certificate_doc(trace, obstruction, [_field(0)]), "\n")
-    fields = [[_field(i) for i in range(a, a + 3)] for a in range(0, 12, 3)]
+    fields = [[_field(i) for i in range(j, j + 3)] for j in range(0, 12, 3)]
     step, newlines = _write_template(_step_doc(*fields), at)
+    t, a, b, d = newlines[::3]
     # the target is the residue of each derived integer, the rest the ring's
-    # JSON; each text is cached for this call only, as one integer means
+    # JSON; the texts are cached for this call only, as one integer means
     # different elements in different rings
-    texts, slots = {}, []
-    for i, newline in enumerate(newlines):
-        key = (ring._residue if i < 3 else ring._json, newline)
-        if key not in texts:
-            texts[key] = cache(lambda n, leaf=key[0], newline=newline: _write(leaf(n), newline))
-        slots.append(texts[key])
-    t0, t1, t2, a0, a1, a2, b0, b1, b2, d0, d1, d2 = slots
+    residue = cache(lambda n: _write(ring._residue(n), t))
+    js = cache(lambda n, newline: _write(ring._json(n), newline))
     return doc % ("," + at).join([
-        step % (t0(x), t1(y), t2(z), a0(u0), a1(u1), a2(u2), b0(v0), b1(v1), b2(v2),
-                d0(x), d1(y), d2(z))
+        step % (residue(x), residue(y), residue(z), js(u0, a), js(u1, a), js(u2, a),
+                js(v0, b), js(v1, b), js(v2, b), js(x, d), js(y, d), js(z, d))
         for (x, y, z), (u0, u1, u2), (v0, v1, v2) in trace._chain
     ])
 

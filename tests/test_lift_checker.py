@@ -296,6 +296,13 @@ def test_render_texts_do_not_carry_over_between_rings(p):
         _assert_plain_renders(*propagate_forced_lift(ring_make(kind, p, k)))
 
 
+def test_a_certificate_with_no_steps_renders_as_the_stdlib_writes_it():
+    # the step template is split out of a one-step list, and an empty
+    # chain must still render its steps as `[]`
+    trace, obstruction = propagate_forced_lift(Z4)
+    _assert_plain_renders(lift_checker.PropagationTrace(trace.ring, ()), obstruction)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
 @pytest.mark.parametrize("kind", ["zpk", "fpt"])
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 211])
