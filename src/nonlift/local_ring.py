@@ -7,19 +7,22 @@ the second is the equicharacteristic control case with p * 1 = 0 always.
 
 A `RingElem` stores one integer.  For Z/p^k it is the residue in [0, p^k);
 for F_p[t]/(t^k) it packs the coefficients c0 + c1*t + ... by Kronecker
-substitution, coefficient i in the w-bit digit i, so one integer product is
-one polynomial product.  `LocalRing` owns the encoding: it packs outside
-input once `norm_rep` has checked it, unpacks for `rep`, `to_json` and `str`,
-and gives the one reduction that every operator and plane function calls
-(mod p^k, or each of the low k digits mod p).  Subtraction adds the ring's
-bias first, a multiple of p in each digit that keeps any digit from
-borrowing.  Projective points over a ring A carry at least one unit
-coordinate and are normalized by scaling the first unit coordinate to 1.
-A point stores its coordinates' integers, normalized once; `coords` wraps
-them as `RingElem`s only when read, and the renderers format the integers.
+substitution, coefficient i in the w-bit digit at bit iW, so one integer
+product is one polynomial product.  The spacing W = 2w + bitlen(p) leaves a
+zero gap above each digit, room for the one multiply-shift that divides every
+digit by p at once (the `LocalRing` comment has the proof).  `LocalRing` owns
+the encoding: it packs outside input once `norm_rep` has checked it, unpacks
+for `rep`, `to_json` and `str`, and gives the one reduction that every
+operator and plane function calls (mod p^k, or each of the low k digits mod
+p).  Subtraction adds the ring's bias first, a multiple of p in each digit
+that keeps any digit from borrowing.  Projective points over a ring A carry
+at least one unit coordinate and are normalized by scaling the first unit
+coordinate to 1.  A point stores its coordinates' integers, normalized once;
+`coords` wraps them as `RingElem`s only when read, and the renderers format
+the integers.
 
 Lines in the projective plane over A are represented by their dual
-coordinate vectors.  Join and meet are then one operation, `_span`, the
+coordinate vectors.  Join and meet are then one kernel, `_span`, the
 normalized cross product of two canonical coordinate-integer triples (two
 points, or two line duals for a meet), and three points are collinear when
 the cross product of two of them is orthogonal to the third; both read the
@@ -72,16 +75,24 @@ class LocalRing(_Frozen):
         else:
             # Digits of unreduced values stay below 2^w: a product's are at
             # most k(p-1)^2, a dot product's 3k(p-1)^2, and a difference's
-            # below k(p-1)^2 + bias digit kp(p-1).  Digits at and above k
-            # only carry or borrow upwards, so masking the low k discards them.
-            w = (3 * k * p * p).bit_length()
-            shifts, mask = tuple(range(0, w * k, w)), (1 << w) - 1
+            # below k(p-1)^2 + bias digit kp(p-1).  Digit i sits at bit
+            # s_i = iW, W = 2w + l, l = bitlen(p).  Masking to `low` drops the
+            # digits at and above k, which only carry or borrow upwards, and
+            # a difference's negative high part.  One multiply-shift then
+            # divides every digit d by p (Granlund-Montgomery): magic*p -
+            # 2^(w+l) <= p < 2^l gives floor(d*magic / 2^(w+l)) = floor(d/p),
+            # d*magic < 2^W keeps each product in its digit's W bits, and
+            # after the shift digit i's fraction bits lie in [s_i - w - l, s_i),
+            # clear of digit i-1's quotient bits [s_(i-1), s_(i-1) + w)
+            # exactly because W >= 2w + l.
+            w, l = (3 * k * p * p).bit_length(), p.bit_length()
+            shifts, mask = tuple(range(0, (2 * w + l) * k, 2 * w + l)), (1 << w) - 1
             bias = sum(k * p * (p - 1) << s for s in shifts)
+            low, magic, e = (1 << shifts[-1] + w) - 1, (1 << w + l) // p + 1, w + l
+            qmask = sum(mask << s for s in shifts)
             def reduce(n):
-                out = 0
-                for s in shifts:
-                    out |= (n >> s & mask) % p << s
-                return out
+                n &= low
+                return n - p * ((n * magic) >> e & qmask)
             residue = mask.__and__
         super().__init__(kind, p, k, size, shifts, mask, bias, reduce, residue)
 
@@ -466,14 +477,23 @@ def _span(ring, u, v):
     The residues of canonical triples are canonical over F_p, so the cross
     product has a unit coordinate exactly when the two residues differ.  For
     two points it is the dual of the line joining them; for two line duals
-    it is the point where the lines meet.
+    it is the point where the lines meet.  The forced chain calls it twice a
+    step, so the scaling by the first unit and both orthogonality checks are
+    inlined here; `_normalize` and `_orthogonal` serve the other callers.
     """
-    w = _cross(ring, u, v)
-    if not any(map(ring._residue, w)):
-        return None
-    w = _normalize(ring, w)
-    assert _orthogonal(ring, w, u) and _orthogonal(ring, w, v)
-    return w
+    reduce, residue, bias = ring._reduce, ring._residue, ring._bias
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    w0 = reduce(u1 * v2 + bias - u2 * v1)
+    w1 = reduce(u2 * v0 + bias - u0 * v2)
+    w2 = reduce(u0 * v1 + bias - u1 * v0)
+    for pivot in (w0, w1, w2):
+        if residue(pivot):
+            inv = _inverse(ring, pivot)
+            w0, w1, w2 = reduce(w0 * inv), reduce(w1 * inv), reduce(w2 * inv)
+            assert not reduce(w0 * u0 + w1 * u1 + w2 * u2)
+            assert not reduce(w0 * v0 + w1 * v1 + w2 * v2)
+            return (w0, w1, w2)
+    return None
 
 
 def _join(ring, u, v):
@@ -502,8 +522,11 @@ def _is_at(ring, ns, ints):
     integers (a, b, c) in [0, p] with a unit among them: the two triples'
     cross product vanishes, which for two triples with a unit coordinate is
     projective equality."""
-    v = list(map(ring._reduce, ints))
-    return any(map(ring._residue, v)) and not any(_cross(ring, ns, v))
+    reduce, residue, bias = ring._reduce, ring._residue, ring._bias
+    (u0, u1, u2), (v0, v1, v2) = ns, map(reduce, ints)
+    return bool(residue(v0) or residue(v1) or residue(v2)) and not (
+        reduce(u1 * v2 + bias - u2 * v1) or reduce(u2 * v0 + bias - u0 * v2)
+        or reduce(u0 * v1 + bias - u1 * v0))
 
 
 class LineA(_Frozen):

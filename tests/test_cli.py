@@ -345,6 +345,10 @@ GOLDEN = [
      "3270f95b9aa1ba02827ded9c0d79d1a1d6fbd3e9710a8bee9bd4956c77de51d2"),
     ("lift propagate --p 211 --ring fpt:2 --format json", 0,
      "d4b3482b9813950aab445d5bb226ceebecf94c6e74eae98b95179d453a9ce855"),
+    # at the PROPAGATE_P_MAX cap over the widest digit layout (8 digits at
+    # 73-bit spacing): 14,538,501 bytes that no layout change may alter
+    ("lift propagate --p 4999 --ring fpt:8 --format json", 0,
+     "c1dd3c4b17abf1971883f6f6c23ed65ea9787d84d77109a4a49d4111828363cd"),
     # the check at the PLANE_P_MAX cap: 47,226 violations in 1,387,558 bytes
     # over Z/169, and none over F_13[t]/(t^8)
     ("lift check --p 13", 0,

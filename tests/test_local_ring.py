@@ -433,12 +433,17 @@ def test_ring_arithmetic_matches_schoolbook_reference(spec):
             assert ref["mul"](a, x.inverse().rep) == ring.one.rep
 
 
-def _reference_reduce(ring, n):
-    """The reduction over F_p[t]/(t^k) of a nonnegative integer, digit by
-    digit: each of the low k base-2^w digits mod p, higher digits dropped."""
-    base = 2 ** ring._mask.bit_length()
-    digits = [n // base**i % base for i in range(ring.k)]
-    return sum(d % ring.p * base**i for i, d in enumerate(digits))
+def _pack(ring, digits, high=0):
+    """The integer with `digits` at the ring's digit positions and `high`,
+    which may be negative, above the top digit's w bits."""
+    top = ring._shifts[-1] + ring._mask.bit_length()
+    return sum(d << s for d, s in zip(digits, ring._shifts)) + (high << top)
+
+
+def _reference_reduce(ring, digits):
+    """The reduction over F_p[t]/(t^k) of a packed integer, digit by digit:
+    each of the low k digits mod p, at its position, the high part dropped."""
+    return sum(d % ring.p << s for d, s in zip(digits, ring._shifts))
 
 
 @pytest.mark.parametrize("p", [2, 13, 4999])
@@ -447,12 +452,46 @@ def test_reduce_matches_digit_reference(p):
     rng = random.Random(f"reduce fpt {p}")
     for k in range(1, K_MAX + 1):
         ring = ring_make("fpt", p, k)
-        w = ring._mask.bit_length()
-        top = 2 ** (w * k) - 1  # every digit 2^w - 1
-        cases = [0, 1, p, top, 2 ** (w * (k + 2)) - 1, top * ring.size]
-        cases += [rng.randrange(2 ** (w * (k + 1))) for _ in range(50)]
-        for n in cases:
-            assert ring._reduce(n) == _reference_reduce(ring, n), (k, n)
+        top = ring._mask  # the largest digit, 2^w - 1
+        cases = [([0] * k, 0), ([1] + [0] * (k - 1), 0), ([p] + [0] * (k - 1), 0),
+                 ([top] * k, 0), ([top] * k, top * top), ([top] * k, ring.size), ([top] * k, -1)]
+        cases += [([rng.randrange(top + 1) for _ in range(k)], rng.randrange(-top, top))
+                  for _ in range(50)]
+        for digits, high in cases:
+            n = _pack(ring, digits, high)
+            assert ring._reduce(n) == _reference_reduce(ring, digits), (k, digits, high)
+
+
+def _digit_sweep(ring, values):
+    """Each value at each digit position: alone, with every other digit at
+    2^w - 1, and alone over a negative high part (a `_cross` difference)."""
+    k, top = ring.k, ring._mask
+    for i in range(k):
+        for fill, high in ((0, 0), (top, 0), (0, -top)):
+            digits = [fill] * k
+            for d in values:
+                digits[i] = d
+                n = _pack(ring, digits, high)
+                assert ring._reduce(n) == _reference_reduce(ring, digits), (i, digits, high)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_reduce_digit_sweep(p):
+    # every digit value the reduction admits, at every length up to K_MAX
+    for k in range(1, K_MAX + 1):
+        ring = ring_make("fpt", p, k)
+        _digit_sweep(ring, range(ring._mask + 1))
+
+
+def test_reduce_boundary_digits_at_widest_layout():
+    # p = 4999: digits around each multiple of p that matters, and the top
+    p = 4999
+    for k in range(1, K_MAX + 1):
+        ring = ring_make("fpt", p, k)
+        top = ring._mask
+        last = top // p * p
+        _digit_sweep(ring, [0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, (p - 1) ** 2,
+                            k * (p - 1) ** 2, 3 * k * (p - 1) ** 2, last - 1, last, top])
 
 
 # -- plane geometry over A against RingElem arithmetic --------------------------
