@@ -58,8 +58,9 @@ class _Frozen:
     """Base of the immutable classes: assigning or deleting an attribute
     raises.  `__init__` sets the `__slots__` in order (hot constructors set
     theirs directly), and `==`, `hash` and `repr` go field by field over
-    them; the points, lines, rings, ring elements and polynomials define
-    their own.  Copy, deepcopy and pickle rebuild from the slot values.
+    them; the points, rings, ring elements and polynomials define their
+    own, and lines their own `repr`.  Copy, deepcopy and pickle rebuild
+    from the slot values.
     """
 
     __slots__ = ()

@@ -127,17 +127,16 @@ class _Space:
     """P^n(F_p) with its points numbered in `enumerate_points` order.
 
     A canonical point's index is the offset of its pivot position (the count
-    of points with more leading zeros) plus its tail read in base p.  Point
-    objects are built the first time they are read, each at most once.
+    of points with more leading zeros) plus its tail read in base p.  A space
+    holds only these constants, so `_space` shares one per (n, p).
     """
 
-    __slots__ = ("n", "p", "_offset", "_weight", "_built")
+    __slots__ = ("n", "p", "_offset", "_weight")
 
     def __init__(self, n, p):
         self.n, self.p = n, p
-        self._offset = [(p ** (n - c) - 1) // (p - 1) for c in range(n + 1)]
-        self._weight = [p ** (n - c) for c in range(n + 1)]
-        self._built = {}
+        self._offset = tuple((p ** (n - c) - 1) // (p - 1) for c in range(n + 1))
+        self._weight = tuple(p ** (n - c) for c in range(n + 1))
 
     def index(self, coords):
         pivot = next(c for c, v in enumerate(coords) if v)
@@ -148,12 +147,6 @@ class _Space:
         pivot = next(c for c, off in enumerate(self._offset) if off <= i)
         tail = i - self._offset[pivot]
         return (0,) * pivot + (1,) + tuple(tail // w % self.p for w in self._weight[pivot + 1:])
-
-    def point(self, i):
-        pt = self._built.get(i)
-        if pt is None:
-            pt = self._built[i] = _point(self.coords(i), self.p)
-        return pt
 
     def span(self, rows):
         """Sorted indices of the points spanned by reduced row echelon `rows`.
@@ -202,16 +195,22 @@ class _Space:
         return tuple(self.span(_row_reduce(_kernel([d], self.p), self.p)[0]))
 
 
+@lru_cache(maxsize=64)
+def _space(n, p):
+    """The one `_Space` of P^n(F_p), shared since it holds no state."""
+    return _Space(n, p)
+
+
 class LineFp(_Frozen):
     """A line of P^n(F_p): the sorted indices of its p+1 points.
 
     `indices` are positions in `enumerate_points(n, p)` order, so they sort
-    as the points do; `points` builds the point objects when first read.
-    Built from points, a line checks that every one of them lies on the
-    join of two of them.
+    as the points do; `points` builds the point objects from them on each
+    read.  Built from points, a line checks that every one of them lies on
+    the join of two of them.
     """
 
-    __slots__ = ("p", "indices", "_space", "_points")
+    __slots__ = ("p", "dim", "indices")
 
     def __init__(self, points):
         try:
@@ -223,7 +222,7 @@ class LineFp(_Frozen):
                for pt in points):
             raise InvalidParameterError("line points must share one ambient space")
         p = first.p
-        space = _Space(first.dim, p)
+        space = _space(first.dim, p)
         indices = sorted({space.index(pt.coords) for pt in points})
         if len(indices) != p + 1:
             raise InvalidParameterError(
@@ -236,36 +235,19 @@ class LineFp(_Frozen):
 
     @classmethod
     def _of(cls, space, indices):
-        return _rebuild(cls, space.p, indices, space, None)
-
-    def __reduce__(self):
-        # rebuilt on a fresh space, so no point built through the shared one is copied
-        return LineFp._of, (_Space(self.dim, self.p), self.indices)
-
-    @property
-    def dim(self):
-        return self._space.n
+        return _rebuild(cls, space.p, space.n, indices)
 
     @property
     def points(self):
-        if self._points is None:
-            object.__setattr__(self, "_points", tuple(map(self._space.point, self.indices)))
-        return self._points
+        coords, p = _space(self.dim, self.p).coords, self.p
+        return tuple([_point(coords(i), p) for i in self.indices])
 
     def __contains__(self, pt):
         if not isinstance(pt, ProjPointFp) or pt.p != self.p or pt.dim != self.dim:
             return False
-        i = self._space.index(pt.coords)
+        i = _space(self.dim, self.p).index(pt.coords)
         j = bisect_left(self.indices, i)
         return j < len(self.indices) and self.indices[j] == i
-
-    def __eq__(self, other):
-        if not isinstance(other, LineFp):
-            return NotImplemented
-        return (self.p, self.dim, self.indices) == (other.p, other.dim, other.indices)
-
-    def __hash__(self):
-        return hash((self.p, self.indices))
 
     def __lt__(self, other):
         if not isinstance(other, LineFp) or (other.p, other.dim) != (self.p, self.dim):
@@ -287,7 +269,7 @@ def line_through(x, y):
         raise InvalidParameterError("points live in different ambient spaces")
     if x == y:
         raise DegenerateSpanError(f"coincident points {x!r} span no line")
-    return _Space(x.dim, x.p).line(x.coords, y.coords)
+    return _space(x.dim, x.p).line(x.coords, y.coords)
 
 
 def _rank(pts, kind):
@@ -389,7 +371,7 @@ def enumerate_lines(n, p):
     """
     check_prime(p)
     _check_dim(n, low=2)
-    space = _Space(n, p)
+    space = _space(n, p)
     cols = n + 1
     keys = []
     for a, b in itertools.combinations(range(cols), 2):
@@ -425,13 +407,14 @@ def line_dual(line):
         raise InvalidParameterError(f"line_dual expects a LineFp, got {line!r}")
     if line.dim != 2:
         raise UnsupportedDimensionError("line duals live in ambient dimension 2")
-    return _dual([line._space.coords(i) for i in line.indices[:2]], line.p)
+    coords = _space(2, line.p).coords
+    return _dual([coords(i) for i in line.indices[:2]], line.p)
 
 
 def line_from_dual(d):
     """Line of P^2 cut out by the linear form with coefficient vector d."""
     _check_dual(d, 2, "line")
-    space = _Space(2, d.p)
+    space = _space(2, d.p)
     return LineFp._of(space, space.hyperplane(d.coords))
 
 
@@ -442,7 +425,7 @@ class PlaneFp(_Frozen):
 
     def __init__(self, dual):
         _check_dual(dual, 3, "plane")
-        super().__init__(dual, _Space(3, dual.p).hyperplane(dual.coords))
+        super().__init__(dual, _space(3, dual.p).hyperplane(dual.coords))
 
 
 class IncidenceConfig(_Frozen):
@@ -524,7 +507,7 @@ class IncidenceConfig(_Frozen):
         kinds = {(x.p, x.dim) for x in (*points, *lines, *(plane.dual for plane in planes))}
         if not points or len(kinds) != 1:
             raise InvalidParameterError("configuration points, lines and planes must share one space")
-        space = _Space(points[0].dim, points[0].p)
+        space = _space(points[0].dim, points[0].p)
         at = {space.index(pt.coords): i for i, pt in enumerate(points)}
         if (len(at) != len(points) or len({line.indices for line in lines}) != len(lines)
                 or len({plane.dual for plane in planes}) != len(planes)):
@@ -588,7 +571,7 @@ def mp_configuration(p):
         chosen.add(ProjPointFp(((n + 1) % p, 1, 1), p))
     for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0)):
         chosen.add(ProjPointFp(c, p))
-    space = _Space(2, p)
+    space = _space(2, p)
     at = {space.index(pt.coords) for pt in chosen}
     lines = [line for line in enumerate_lines(2, p) if len(at.intersection(line.indices)) >= 2]
     return IncidenceConfig.from_members(sorted(chosen), lines)

@@ -126,16 +126,24 @@ class PropagationTrace(_Frozen):
 
 
 class Obstruction(_Frozen):
-    """Outcome of the closing comparison: the element p * 1 must vanish."""
+    """Outcome of the closing comparison: the element p * 1 must vanish.
 
-    __slots__ = ("element", "derived", "required", "verdict")
+    The verdict is read off the element: non-liftable exactly when it is
+    nonzero.
+    """
 
-    def __init__(self, element, derived, required, verdict):
-        super().__init__(element, derived, required, verdict)
+    __slots__ = ("element", "derived", "required")
+
+    def __init__(self, element, derived, required):
+        super().__init__(element, derived, required)
 
     @property
     def is_zero(self):
         return self.element.is_zero
+
+    @property
+    def verdict(self):
+        return VERDICT_OPEN if self.is_zero else VERDICT_BLOCKED
 
 
 def _ring_of(name, args):
@@ -194,13 +202,7 @@ def propagate_forced_lift(*args):
 
     # the closing comparison against the pinned image of (0:0:1) is decided
     # by the element p·1
-    element = ring.p_one
-    obstruction = Obstruction(
-        element=element,
-        derived=_point_A(ring, final),
-        required=images[2],
-        verdict=VERDICT_OPEN if element.is_zero else VERDICT_BLOCKED,
-    )
+    obstruction = Obstruction(ring.p_one, _point_A(ring, final), images[2])
     assert (final == e2) == obstruction.is_zero
     return PropagationTrace(ring=ring, _chain=tuple(chain)), obstruction
 

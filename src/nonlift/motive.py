@@ -420,7 +420,7 @@ def point_count_oracle_construction_two(p, q):
         raise InvalidParameterError(
             f"oracle only counts over the definition field: q={q} differs from p={p}"
         )
-    return sum(len(line.points) * (p + 1) for line in enumerate_lines(3, p))
+    return sum(len(line.indices) * (p + 1) for line in enumerate_lines(3, p))
 
 
 def _proj_tuples(n, q):
@@ -476,14 +476,33 @@ class InvariantsTable(_Frozen):
     """Betti and Hodge data read off a cellular class, plus sanity flags.
 
     The Hodge table is diagonal (h^{i,i} = b_{2i}) because every in-scope
-    space is cellular, so only the Betti numbers are stored and `hodge`
-    builds the dense (dim+1) x (dim+1) table on demand.
+    space is cellular, so only the dimension and the Betti numbers are
+    stored; `hodge` builds the dense (dim+1) x (dim+1) table on demand, and
+    the Picard and Euler numbers and both flags are read off the Betti
+    numbers too.
     """
 
-    __slots__ = ("dim", "betti", "picard", "euler", "palindromic", "nonnegative")
+    __slots__ = ("dim", "betti")
 
-    def __init__(self, dim, betti, picard, euler, palindromic, nonnegative):
-        super().__init__(dim, betti, picard, euler, palindromic, nonnegative)
+    def __init__(self, dim, betti):
+        super().__init__(dim, betti)
+
+    @property
+    def picard(self):
+        """b_2, or 0 when there is none."""
+        return self.betti[2] if len(self.betti) > 2 else 0
+
+    @property
+    def euler(self):
+        return sum(self.betti)
+
+    @property
+    def palindromic(self):
+        return self.betti == self.betti[::-1]
+
+    @property
+    def nonnegative(self):
+        return all(b >= 0 for b in self.betti)
 
     @property
     def hodge_de_rham_sum_equal(self):
@@ -533,8 +552,9 @@ def invariants_table(v):
     """Invariants of a cellular variety class.
 
     Betti numbers b_{2i} are the coefficients (odd rows vanish), the Hodge
-    table is diagonal, the Picard number is b_2, the Euler number is the
-    value at 1.  Non-cellular inputs are refused rather than guessed at.
+    table is diagonal, the Picard number is b_2, the Euler number is their
+    sum, the value at 1.  Non-cellular inputs are refused rather than
+    guessed at.
     """
     if not isinstance(v, VarietyClass):
         raise InvalidParameterError("invariants_table expects a VarietyClass")
@@ -542,20 +562,5 @@ def invariants_table(v):
         raise InvalidParameterError(
             f"class {v.name!r} is not marked cellular; its Hodge table is not determined here"
         )
-    d = v.dim
-    betti = []
-    for i in range(2 * d + 1):
-        betti.append(v.cls.coeff(i // 2) if i % 2 == 0 else 0)
-    betti = tuple(betti)
-    picard = betti[2] if len(betti) > 2 else 0
-    euler = v.cls(1)
-    palindromic = v.cls.is_palindromic(d)
-    nonnegative = all(c >= 0 for c in v.cls.coeffs)
-    return InvariantsTable(
-        dim=d,
-        betti=betti,
-        picard=picard,
-        euler=euler,
-        palindromic=palindromic,
-        nonnegative=nonnegative,
-    )
+    betti = tuple(v.cls.coeff(i // 2) if i % 2 == 0 else 0 for i in range(2 * v.dim + 1))
+    return InvariantsTable(v.dim, betti)

@@ -476,6 +476,23 @@ def test_invariants_de_rham_flag_is_not_stored():
             InvariantsTable.from_json(doc)
 
 
+def test_derived_invariants_match_the_class():
+    from test_acceptance import _builtin_classes
+
+    assert InvariantsTable.__slots__ == ("dim", "betti")
+    lopsided = VarietyClass("lopsided", 3, LPolynomial((1, -2, 5)))
+    for v in (*_builtin_classes(), lopsided):
+        tab = invariants_table(v)
+        assert tab.euler == v.cls(1) == v.euler_number(), v.name
+        assert tab.picard == v.cls.coeff(1), v.name
+        assert tab.palindromic == v.cls.is_palindromic(v.dim), v.name
+        assert tab.nonnegative == all(c >= 0 for c in v.cls.coeffs), v.name
+    tab = invariants_table(lopsided)
+    assert (tab.picard, tab.euler, tab.palindromic, tab.nonnegative) == (-2, 4, False, False)
+    point = invariants_table(VarietyClass("point", 0, LPolynomial.one()))
+    assert (point.betti, point.picard, point.euler) == ((1,), 0, 1)
+
+
 def test_all_builtin_classes_palindromic_nonnegative():
     builtins = [
         projective_space_class(3),
