@@ -429,74 +429,23 @@ class PlaneFp(_Frozen):
 
 
 class IncidenceConfig(_Frozen):
-    """A finite point-line(-plane) configuration with its strict inclusions.
+    """A finite point-line(-plane) configuration, built from its members.
 
-    Inclusions are child/parent pairs over a concatenated global index
-    space: points first, then lines, then planes.  Only strict containments
-    are listed (the reflexive closure is implicit); together with the
-    point-in-plane pairs this makes the listed relation transitive.
+    The points, lines and plane duals must share one space (P^3 if there
+    are planes), and the points, the lines and the planes must each be
+    distinct.  `dim` and `p` are read off the points, and `inclusions` are
+    derived on each read: child/parent pairs over a concatenated global
+    index space, points first, then lines, then planes.  Each line and plane
+    lists the points of `points` on it (members outside `points` are left
+    out), then each plane the lines lying in it: a line lies in a plane
+    exactly when its first two points do, given or not.  Only strict
+    containments are listed (the reflexive closure is implicit); together
+    with the point-in-plane pairs this makes the listed relation transitive.
     """
 
-    __slots__ = ("dim", "p", "points", "lines", "planes", "inclusions")
+    __slots__ = ("points", "lines", "planes")
 
-    def __init__(self, dim, p, points, lines, planes=(), inclusions=()):
-        super().__init__(dim, p, points, lines, planes, inclusions)
-
-    @property
-    def line_offset(self):
-        return len(self.points)
-
-    @property
-    def plane_offset(self):
-        return len(self.points) + len(self.lines)
-
-    def to_json(self):
-        # a line's or plane's members are the points its inclusions name
-        off = self.line_offset
-        members = [[] for _ in (*self.lines, *self.planes)]
-        for child, parent in self.inclusions:
-            if child < off <= parent:
-                members[parent - off].append(child)
-        return {
-            "dim": self.dim,
-            "p": self.p,
-            "points": [list(pt.coords) for pt in self.points],
-            "lines": [sorted(m) for m in members[: len(self.lines)]],
-            "planes": [sorted(m) for m in members[len(self.lines):]],
-            "inclusions": [list(pair) for pair in self.inclusions],
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        """The configuration of a `to_json` document, read by `errors.read_back`.
-
-        Each line is the join of its first two listed members, each plane the
-        one through its members, and `from_members` derives everything else.
-        Before any line is joined, p must pass the cap every writer applies,
-        and the lines may hold at most INCLUSIONS_MAX points in all.
-        """
-        def build(d):
-            p = check_prime(d["p"])
-            _check_config_size(d["dim"], p)
-            check_cap(len(d["lines"]) * (p + 1), INCLUSIONS_MAX, "configuration line points")
-            points = [ProjPointFp(c, p) for c in d["points"]]
-            lines = [line_through(*(points[i] for i in members[:2])) for members in d["lines"]]
-            planes = [PlaneFp(_dual([points[i].coords for i in m], p)) for m in d["planes"]]
-            return cls.from_members(points, lines, planes)
-
-        return read_back(doc, build, cls.to_json, "configuration")
-
-    @classmethod
-    def from_members(cls, points, lines, planes=()):
-        """Configuration of the given points, lines and planes.
-
-        Lists every point of `points` on each line and plane (members outside
-        `points` are left out), then every line lying in each plane: a line
-        lies in a plane exactly when its first two points do, given or not.
-        The points, lines and plane duals must share one space (P^3 if there
-        are planes), and the points, the lines and the planes must each be
-        distinct.
-        """
+    def __init__(self, points, lines, planes=()):
         for name, group, kind in (
             ("points", points, ProjPointFp), ("lines", lines, LineFp), ("planes", planes, PlaneFp)
         ):
@@ -507,39 +456,87 @@ class IncidenceConfig(_Frozen):
         kinds = {(x.p, x.dim) for x in (*points, *lines, *(plane.dual for plane in planes))}
         if not points or len(kinds) != 1:
             raise InvalidParameterError("configuration points, lines and planes must share one space")
-        space = _space(points[0].dim, points[0].p)
-        at = {space.index(pt.coords): i for i, pt in enumerate(points)}
-        if (len(at) != len(points) or len({line.indices for line in lines}) != len(lines)
+        if (len(set(points)) != len(points) or len({line.indices for line in lines}) != len(lines)
                 or len({plane.dual for plane in planes}) != len(planes)):
             raise InvalidParameterError("configuration points, lines and planes must be distinct")
-        line_off = len(points)
-        plane_off = line_off + len(lines)
+        super().__init__(tuple(points), tuple(lines), tuple(planes))
+
+    @property
+    def dim(self):
+        return self.points[0].dim
+
+    @property
+    def p(self):
+        return self.points[0].p
+
+    @property
+    def line_offset(self):
+        return len(self.points)
+
+    @property
+    def plane_offset(self):
+        return len(self.points) + len(self.lines)
+
+    @property
+    def inclusions(self):
+        space = _space(self.dim, self.p)
+        at = {space.index(pt.coords): i for i, pt in enumerate(self.points)}
+        line_off, plane_off = self.line_offset, self.plane_offset
         inclusions = [
             (at[i], line_off + li)
-            for li, line in enumerate(lines)
+            for li, line in enumerate(self.lines)
             for i in line.indices
             if i in at
         ]
         through = {}  # point index -> the given planes through that point
-        for pi, plane in enumerate(planes):
+        for pi, plane in enumerate(self.planes):
             members = sorted(at[i] for i in plane.indices if i in at)
             inclusions.extend((i, plane_off + pi) for i in members)
             for i in plane.indices:
                 through.setdefault(i, set()).add(pi)
         line_in_plane = sorted(
             (pi, li)
-            for li, line in enumerate(lines)
+            for li, line in enumerate(self.lines)
             for pi in through.get(line.indices[0], set()) & through.get(line.indices[1], set())
         )
         inclusions.extend((line_off + li, plane_off + pi) for pi, li in line_in_plane)
-        return cls(
-            dim=space.n,
-            p=space.p,
-            points=tuple(points),
-            lines=tuple(lines),
-            planes=tuple(planes),
-            inclusions=tuple(inclusions),
-        )
+        return tuple(inclusions)
+
+    def to_json(self):
+        # a line's or plane's members are the points its inclusions name
+        off, inclusions = self.line_offset, self.inclusions
+        members = [[] for _ in (*self.lines, *self.planes)]
+        for child, parent in inclusions:
+            if child < off <= parent:
+                members[parent - off].append(child)
+        return {
+            "dim": self.dim,
+            "p": self.p,
+            "points": [list(pt.coords) for pt in self.points],
+            "lines": [sorted(m) for m in members[: len(self.lines)]],
+            "planes": [sorted(m) for m in members[len(self.lines):]],
+            "inclusions": [list(pair) for pair in inclusions],
+        }
+
+    @classmethod
+    def from_json(cls, doc):
+        """The configuration of a `to_json` document, read by `errors.read_back`.
+
+        Each line is the join of its first two listed members, each plane the
+        one through its members, and the constructor checks the rest.
+        Before any line is joined, p must pass the cap every writer applies,
+        and the lines may hold at most INCLUSIONS_MAX points in all.
+        """
+        def build(d):
+            p = check_prime(d["p"])
+            _check_config_size(d["dim"], p)
+            check_cap(len(d["lines"]) * (p + 1), INCLUSIONS_MAX, "configuration line points")
+            points = [ProjPointFp(c, p) for c in d["points"]]
+            lines = [line_through(*(points[i] for i in members[:2])) for members in d["lines"]]
+            planes = [PlaneFp(_dual([points[i].coords for i in m], p)) for m in d["planes"]]
+            return cls(points, lines, planes)
+
+        return read_back(doc, build, cls.to_json, "configuration")
 
 
 def _check_config_size(n, p):
@@ -552,7 +549,7 @@ def incidence_config(n, p):
     _check_config_size(n, p)
     points = enumerate_points(n, p)
     planes = [PlaneFp(d) for d in points] if n == 3 else []
-    return IncidenceConfig.from_members(points, enumerate_lines(n, p), planes)
+    return IncidenceConfig(points, enumerate_lines(n, p), planes)
 
 
 def mp_configuration(p):
@@ -574,4 +571,4 @@ def mp_configuration(p):
     space = _space(2, p)
     at = {space.index(pt.coords) for pt in chosen}
     lines = [line for line in enumerate_lines(2, p) if len(at.intersection(line.indices)) >= 2]
-    return IncidenceConfig.from_members(sorted(chosen), lines)
+    return IncidenceConfig(sorted(chosen), lines)

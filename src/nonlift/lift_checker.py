@@ -369,7 +369,7 @@ def extract_used_configuration(trace):
     points = trace.pinned_points()
     duals = trace._residue_points(dual for _, *duals in trace._chain for dual in duals)
     lines = sorted(line_from_dual(d) for d in duals)
-    return IncidenceConfig.from_members(points, lines)
+    return IncidenceConfig(points, lines)
 
 
 # -- certificates -----------------------------------------------------------

@@ -25,11 +25,14 @@ from nonlift import (
     coplanar,
     enumerate_lines,
     enumerate_points,
+    extract_used_configuration,
     incidence_config,
     line_dual,
     line_from_dual,
     line_through,
     mp_configuration,
+    propagate_forced_lift,
+    ring_make,
 )
 from nonlift.finite_geometry import P_MAX, _Space
 
@@ -266,13 +269,58 @@ def test_from_members_decides_line_in_plane_from_the_line():
     pts = [ProjPointFp(v, 3) for v in ((0, 1, 0, 0), (0, 1, 1, 0))]
     ln = line_through(*pts)
     plane = PlaneFp(ProjPointFp((1, 0, 0, 0), 3))
-    cfg = IncidenceConfig.from_members(pts, [ln], [plane])
+    cfg = IncidenceConfig(pts, [ln], [plane])
     assert cfg.inclusions == ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
     assert cfg.to_json()["planes"] == [[0, 1]]
 
 
 def _on_plane(pt, plane):
     return sum(a * b for a, b in zip(pt.coords, plane.dual.coords)) % pt.p == 0
+
+
+def _members_only_configurations():
+    trace, _ = propagate_forced_lift(ring_make("zpk", 5, 2))
+    # a line of P^3(F_3) whose first two points, (0:0:1:0) and (0:1:0:0),
+    # are not given, in one given plane and off the other; each plane has
+    # three given points that span it
+    ln = line_through(ProjPointFp((0, 1, 0, 0), 3), ProjPointFp((0, 1, 1, 0), 3))
+    others = [ProjPointFp(c, 3) for c in ((0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 1, 1))]
+    planes = [PlaneFp(ProjPointFp(d, 3)) for d in ((1, 0, 0, 0), (0, 1, 0, 0))]
+    return [
+        incidence_config(2, 3),
+        incidence_config(3, 2),
+        mp_configuration(5),
+        extract_used_configuration(trace),
+        IncidenceConfig([*ln.points[2:], *others], [ln], planes),
+    ]
+
+
+def test_a_configuration_is_its_members():
+    assert IncidenceConfig.__slots__ == ("points", "lines", "planes")
+    cfg = mp_configuration(3)
+    with pytest.raises(TypeError):
+        IncidenceConfig(2, 3, cfg.points, cfg.lines, (), ())
+    for cfg in _members_only_configurations():
+        assert IncidenceConfig.from_json(cfg.to_json()) == cfg
+        # the inclusions, each once, from `in`, d.x = 0 mod p and every
+        # point of a line on the plane
+        lo, po = cfg.line_offset, cfg.plane_offset
+        reference = {
+            (i, lo + li)
+            for li, ln in enumerate(cfg.lines) for i, pt in enumerate(cfg.points) if pt in ln
+        }
+        reference |= {
+            (i, po + pi)
+            for pi, pl in enumerate(cfg.planes) for i, pt in enumerate(cfg.points)
+            if _on_plane(pt, pl)
+        }
+        reference |= {
+            (lo + li, po + pi)
+            for pi, pl in enumerate(cfg.planes) for li, ln in enumerate(cfg.lines)
+            if all(_on_plane(pt, pl) for pt in ln.points)
+        }
+        assert len(cfg.inclusions) == len(set(cfg.inclusions))
+        assert set(cfg.inclusions) == reference
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -293,7 +341,7 @@ def test_line_in_plane_matches_member_dot_reference(p, seed):
     lines += [lx, ly]
     rng.shuffle(lines)
     given = rng.sample(points, len(points) // 3)
-    cfg = IncidenceConfig.from_members(given, lines, planes)
+    cfg = IncidenceConfig(given, lines, planes)
     expected = [
         (cfg.line_offset + li, cfg.plane_offset + pi)
         for pi, pl in enumerate(planes)
@@ -542,12 +590,12 @@ WRONG_ARGUMENTS = {
     "PlaneFp(P2 point)": (
         lambda: PlaneFp(ProjPointFp((1, 0, 0), 3)).indices, UnsupportedDimensionError
     ),
-    "from_members([pt], [5])": (
-        lambda: IncidenceConfig.from_members([ProjPointFp((1, 0, 0), 3)], [5]),
+    "IncidenceConfig([pt], [5])": (
+        lambda: IncidenceConfig([ProjPointFp((1, 0, 0), 3)], [5]),
         InvalidParameterError,
     ),
-    "from_members([5], [])": (lambda: IncidenceConfig.from_members([5], []), InvalidParameterError),
-    "from_members(5, [])": (lambda: IncidenceConfig.from_members(5, []), InvalidParameterError),
+    "IncidenceConfig([5], [])": (lambda: IncidenceConfig([5], []), InvalidParameterError),
+    "IncidenceConfig(5, [])": (lambda: IncidenceConfig(5, []), InvalidParameterError),
 }
 
 

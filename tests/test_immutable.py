@@ -52,10 +52,9 @@ RECORDS = {
     "PlaneFp": (PlaneFp, (DUAL,), {"dual": DUAL}, {}),
     "IncidenceConfig": (
         IncidenceConfig,
-        (2, 2, POINTS, (LINE,), (), ((0, 3), (1, 3), (2, 3))),
-        {"dim": 2, "p": 2, "points": POINTS, "lines": (LINE,), "planes": (),
-         "inclusions": ((0, 3), (1, 3), (2, 3))},
-        {"planes": (), "inclusions": ()},
+        (POINTS, (LINE,), ()),
+        {"points": POINTS, "lines": (LINE,), "planes": ()},
+        {"planes": ()},
     ),
     "Frame": (Frame, (Z4,), {"ring": Z4}, {}),
     "PropagationTrace": (

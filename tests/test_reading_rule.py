@@ -179,24 +179,24 @@ def test_configuration_points_are_distinct():
         IncidenceConfig.from_json(doc)
     pts = mp_configuration(3).points
     with pytest.raises(InvalidParameterError):
-        IncidenceConfig.from_members(pts + pts[:1], ())
+        IncidenceConfig(pts + pts[:1], ())
 
 
 def test_configuration_lines_and_planes_are_distinct():
     cfg = mp_configuration(3)
     with pytest.raises(InvalidParameterError):
-        IncidenceConfig.from_members(cfg.points, cfg.lines + cfg.lines[:1])
+        IncidenceConfig(cfg.points, cfg.lines + cfg.lines[:1])
     # the document of that configuration once read back with 13 lines, not 12
     first = len(cfg.points)
-    repeat = tuple((child, first + len(cfg.lines)) for child, parent in cfg.inclusions
-                   if parent == first)
-    doc = IncidenceConfig(cfg.dim, cfg.p, cfg.points, cfg.lines + cfg.lines[:1], (),
-                          cfg.inclusions + repeat).to_json()
+    doc = cfg.to_json()
+    doc["lines"].append(doc["lines"][0])
+    doc["inclusions"] += [[child, first + len(cfg.lines)] for child, parent in doc["inclusions"]
+                          if parent == first]
     with pytest.raises(InvalidParameterError):
         IncidenceConfig.from_json(doc)
     space = incidence_config(3, 2)
     with pytest.raises(InvalidParameterError):
-        IncidenceConfig.from_members(space.points, space.lines, space.planes + space.planes[:1])
+        IncidenceConfig(space.points, space.lines, space.planes + space.planes[:1])
 
 
 def test_configuration_size_is_capped_before_any_line_is_joined():
